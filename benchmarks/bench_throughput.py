@@ -4,10 +4,12 @@ Four measurements, all recorded into ``benchmarks/results/`` and into
 ``BENCH_throughput.json`` at the repo root:
 
 1. **Batched replay** -- deps/sec of :func:`deploy_on_run` over a long
-   TESTING-dominated production replay, scalar reference path vs the
-   chunked fast path (:mod:`repro.core.fastpath`). The fast path is
-   bit-identical, so anything short of a real speedup is a regression:
-   the assertion fails if batched replay is not faster than scalar.
+   TESTING-dominated production replay, the scalar reference
+   :func:`replay_scalar` vs the chunked fast path
+   (:mod:`repro.core.fastpath`) that ``deploy_on_run`` takes. The fast
+   path is bit-identical, so anything short of a real speedup is a
+   regression: the assertion fails if batched replay is not faster than
+   scalar.
 2. **Parallel orchestration** -- wall time of correct-run collection,
    serial vs the process-wide warm pool (``jobs``), with identical
    outputs. The *cold* figure times the first parallel batch on a fresh
@@ -48,7 +50,7 @@ from dataclasses import replace
 
 from repro.analysis.accuracy import run_corpus_for_preset
 from repro.core.config import ACTConfig
-from repro.core.deploy import deploy_on_run
+from repro.core.deploy import deploy_on_run, replay_scalar
 from repro.core.offline import OfflineTrainer, collect_correct_runs
 from repro.parallel import get_pool
 from repro.trace import read_trace, write_trace
@@ -126,8 +128,8 @@ def test_throughput(preset, save_result):
     base = run_program(prog, seed=99)
     long_run = replace(base, events=base.events * REPEATS[preset.name])
     (t_scalar, t_fast), (d_scalar, d_fast) = _best_of_each(
-        [lambda: deploy_on_run(trained, long_run, fast=False),
-         lambda: deploy_on_run(trained, long_run, fast=True)],
+        [lambda: replay_scalar(trained, long_run),
+         lambda: deploy_on_run(trained, long_run)],
         rounds=4)
     assert d_fast.n_deps == d_scalar.n_deps
     for tid, module in d_scalar.modules.items():

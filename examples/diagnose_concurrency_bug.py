@@ -10,7 +10,7 @@ samples cache events over many runs.
 Run:  python examples/diagnose_concurrency_bug.py
 """
 
-from repro.baselines import AvisoDiagnoser, PBIDiagnoser
+from repro.baselines import AvisoEngine, PBIEngine
 from repro.core import ACTConfig, diagnose_failure
 from repro.workloads import get_bug, run_program
 
@@ -35,21 +35,24 @@ def main():
               f"{code_map.describe(dep.load_pc)} [{label}]")
 
     # --- Aviso: needs the bug to recur -------------------------------
-    aviso = AvisoDiagnoser().diagnose(program, max_failures=10)
-    if aviso.rank is not None:
-        print(f"[Aviso] rank {aviso.rank} after "
-              f"{aviso.n_failures_used} failure reproductions")
+    aviso = AvisoEngine(max_failures=10)
+    a = aviso.diagnose_report(program, n_train_runs=15, train_seed0=300,
+                              failure_seed=901)
+    if a.rank is not None:
+        print(f"[Aviso] rank {a.rank} after "
+              f"{aviso.failures_used} failure reproductions")
     else:
         print(f"[Aviso] constraint not found in "
-              f"{aviso.n_failures_used} failures")
+              f"{aviso.failures_used} failures")
 
     # --- PBI: cache-event sampling ------------------------------------
-    pbi = PBIDiagnoser().diagnose(program)
+    pbi = PBIEngine().diagnose_report(program, n_train_runs=15,
+                                      train_seed0=500, failure_seed=12345)
     if pbi.rank is not None:
-        print(f"[PBI]   rank {pbi.rank} of {pbi.total_predicates} "
+        print(f"[PBI]   rank {pbi.rank} of {len(pbi.candidates)} "
               "reported predicates (15 correct + 1 failing run)")
     else:
-        print(f"[PBI]   missed ({pbi.total_predicates} predicates)")
+        print(f"[PBI]   missed ({len(pbi.candidates)} predicates)")
 
     print("\nACT pinpointed the handler's free-store -> header-load "
           "dependence: the second thread read an object header last "

@@ -35,7 +35,6 @@ FIFO model); overhead depends on both knobs.
 """
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
@@ -51,7 +50,6 @@ from repro.core.postprocess import CorrectSet, postprocess
 from repro.parallel import run_tasks
 from repro.sim.machine import simulate_run
 from repro.analysis.accuracy import _group_metrics, corpus_programs
-from repro.analysis.shootout import DEFAULT_BENCH_PATH
 from repro.workloads.framework import run_program
 from repro.workloads.generator import ARCHETYPES, GeneratedProgram
 
@@ -172,8 +170,7 @@ def _measure_item(payload):
     for rate in spec.rates:
         policy = spec.policy_for(rate, suspicious_pcs=suspicious)
         with _policy.use_policy(policy):
-            deployment = deploy_on_run(trained, failure_run,
-                                       fast=not policy.enabled)
+            deployment = deploy_on_run(trained, failure_run)
             result = postprocess(deployment.debug_entries(), correct_set)
             rank = result.rank_of_dep(truth) if truth else None
             considered = result.findings[:spec.top_k]
@@ -423,26 +420,6 @@ def bench_entry(result):
         "frontier": result.metrics["frontier"],
         "pareto": result.metrics["pareto"],
     }
-
-
-def append_bench(result, path=DEFAULT_BENCH_PATH):
-    """Append this sweep's summary to the shared accuracy trajectory.
-
-    Same file and dedupe contract as the shootout: an entry equal to
-    the last one is skipped so re-running the same sweep on the same
-    tree never grows the file. Returns the trajectory document.
-    """
-    doc = {"schema": 1, "entries": []}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    entry = bench_entry(result)
-    if not doc["entries"] or doc["entries"][-1] != entry:
-        doc["entries"].append(entry)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return doc
 
 
 def run_frontier_for_preset(preset):

@@ -176,18 +176,18 @@ def bench_entry(result):
     }
 
 
-def append_bench(result, path=DEFAULT_BENCH_PATH):
-    """Append this shootout's per-engine metrics to the trajectory file.
+def append_bench(entry, path=DEFAULT_BENCH_PATH):
+    """Append one ``bench_entry`` (shootout or frontier) to the
+    accuracy trajectory file.
 
     The file is ``{"schema": 1, "entries": [...]}``; an entry equal to
-    the last one is skipped (re-running the same shootout on the same
+    the last one is skipped (re-running the same experiment on the same
     tree must not grow the file). Returns the trajectory document.
     """
     doc = {"schema": 1, "entries": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    entry = bench_entry(result)
     if not doc["entries"] or doc["entries"][-1] != entry:
         doc["entries"].append(entry)
         with open(path, "w", encoding="utf-8") as fh:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.presets import FULL
-from repro.baselines.aviso import AvisoDiagnoser
-from repro.baselines.pbi import PBIDiagnoser
+from repro.baselines.aviso import AvisoEngine
+from repro.baselines.pbi import PBIEngine
 from repro.common.texttable import render_table
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_with_buffer_escalation
@@ -53,8 +53,6 @@ class Table5Row:
 def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
     config = config or ACTConfig()
     rows = []
-    aviso = AvisoDiagnoser()
-    pbi = PBIDiagnoser(n_correct=preset.pbi_correct_runs)
     for name in bugs or all_bug_names():
         program = get_bug(name)
         report, buffer_used = diagnose_with_buffer_escalation(
@@ -62,9 +60,12 @@ def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
             n_train_runs=preset.n_train_traces,
             n_pruning_runs=preset.n_pruning_runs,
             jobs=preset.jobs)
-        a = aviso.diagnose(get_bug(name),
-                           max_failures=preset.aviso_max_failures)
-        p = pbi.diagnose(get_bug(name))
+        aviso = AvisoEngine(max_failures=preset.aviso_max_failures)
+        a = aviso.diagnose_report(get_bug(name), n_train_runs=15,
+                                  train_seed0=300, failure_seed=901)
+        p = PBIEngine().diagnose_report(
+            get_bug(name), n_train_runs=preset.pbi_correct_runs,
+            train_seed0=500, failure_seed=12345)
         desc, status = BUG_DESCRIPTIONS.get(name, ("", "?"))
         rows.append(Table5Row(
             bug=name, description=desc, status=status,
@@ -74,9 +75,9 @@ def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
             filter_pct=report.filter_pct,
             act_rank=report.rank, buffer_used=buffer_used,
             aviso_rank=a.rank,
-            aviso_failures=a.n_failures_used if a.applicable else None,
+            aviso_failures=aviso.failures_used if a.applicable else None,
             aviso_applicable=a.applicable,
-            pbi_rank=p.rank, pbi_total=p.total_predicates))
+            pbi_rank=p.rank, pbi_total=len(p.candidates)))
     return rows
 
 

@@ -13,16 +13,19 @@
 - :mod:`repro.baselines.pset` -- PSet-style static communication
   invariants (exact valid-writer sets per load), the class of scheme
   ACT's adaptivity argument is made against.
+
+Each module holds its scheme's statistics and the engine that puts them
+behind the :class:`~repro.engines.base.Predictor` protocol (registered
+as ``aviso``, ``pbi`` and ``pset``).
 """
 
-from repro.baselines.aviso import AvisoDiagnoser, AvisoResult
-from repro.baselines.pbi import PBIDiagnoser, PBIResult
-from repro.baselines.pset import PSetInvariants
+from repro.baselines.aviso import AvisoEngine
+from repro.baselines.pbi import PBIEngine
+from repro.baselines.pset import PSetEngine, PSetInvariants
 
 __all__ = [
-    "AvisoDiagnoser",
-    "AvisoResult",
-    "PBIDiagnoser",
-    "PBIResult",
+    "AvisoEngine",
+    "PBIEngine",
+    "PSetEngine",
     "PSetInvariants",
 ]

@@ -17,24 +17,29 @@ paper exercises carry over:
   discriminative with several (the paper feeds up to 10);
 - only inter-thread event pairs exist, so sequential bugs are out of
   scope.
+
+:class:`AvisoEngine` runs the protocol behind the
+:class:`~repro.engines.base.Predictor` protocol: ``train`` gathers the
+correct-run background counts, ``report_trained`` accumulates failure
+runs until the constraint ranking exposes the root cause.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
 
-from repro.workloads.framework import run_program
+import numpy as np
 
-
-@dataclass
-class AvisoResult:
-    """Outcome of the Aviso protocol for one bug."""
-
-    rank: Optional[int]
-    n_failures_used: int
-    found: bool
-    applicable: bool
-    ranking: List[Tuple[Tuple[int, int], float]] = field(default_factory=list)
+from repro.core.offline import collect_runs_for_seeds
+from repro.engines.base import (
+    EngineCapabilities,
+    Predictor,
+    candidate,
+    candidate_report,
+    failure_run,
+    no_failure_report,
+    program_name,
+    root_pcs,
+    truth_of,
+)
 
 
 def _window_pairs(run, window):
@@ -46,91 +51,6 @@ def _window_pairs(run, window):
             if a.tid != b.tid:
                 pairs.add((a.pc, b.pc))
     return pairs
-
-
-class AvisoDiagnoser:
-    """Runs the Aviso protocol: accumulate failure runs, rank pairs."""
-
-    def __init__(self, window=12, n_correct=15, good_rank=10,
-                 min_failure_support=2):
-        self.window = window
-        self.n_correct = n_correct
-        # A constraint "finds" the bug once it appears at or above this
-        # rank; until then Aviso asks for another failure run.
-        self.good_rank = good_rank
-        # A candidate only becomes a reportable constraint once it has
-        # recurred in this many failure runs -- Aviso's event-pair model
-        # cannot distinguish signal from coincidence with a single
-        # failure, which is why the paper feeds it multiple failures.
-        self.min_failure_support = min_failure_support
-
-    def diagnose(self, program, max_failures=10, failure_seed0=900,
-                 correct_seed0=300, failure_params=None,
-                 correct_params=None, root_cause=None) -> AvisoResult:
-        failure_params = dict(failure_params or {"buggy": True})
-        correct_params = dict(correct_params or {"buggy": False})
-
-        # Correct-run statistics: how often each pair occurs anyway.
-        correct_counts = defaultdict(int)
-        multithreaded = None
-        for i in range(self.n_correct):
-            run = run_program(program, seed=correct_seed0 + i,
-                              **correct_params)
-            if multithreaded is None:
-                multithreaded = run.n_threads > 1
-            for pair in _sampled_pairs(run, self.window):
-                correct_counts[pair] += 1
-
-        if not multithreaded:
-            return AvisoResult(rank=None, n_failures_used=0, found=False,
-                               applicable=False)
-
-        truth = None
-        fail_counts = defaultdict(int)
-        for k in range(1, max_failures + 1):
-            run = run_program(program, seed=failure_seed0 + k,
-                              **failure_params)
-            if truth is None:
-                truth = root_cause or run.meta.get("root_cause") or set()
-            if not run.failed:
-                continue
-            for pair in _window_pairs(run, self.window):
-                fail_counts[pair] += 1
-
-            ranking = self._rank(fail_counts, correct_counts, k,
-                                 self.min_failure_support)
-            rank = self._root_rank(ranking, truth)
-            if rank is not None and rank <= self.good_rank:
-                return AvisoResult(rank=rank, n_failures_used=k, found=True,
-                                   applicable=True, ranking=ranking)
-
-        ranking = self._rank(fail_counts, correct_counts, max_failures,
-                             self.min_failure_support)
-        rank = self._root_rank(ranking, truth or set())
-        return AvisoResult(rank=rank, n_failures_used=max_failures,
-                           found=rank is not None, applicable=True,
-                           ranking=ranking)
-
-    @staticmethod
-    def _rank(fail_counts, correct_counts, n_failures, min_support=2):
-        ranking = []
-        for pair, f in fail_counts.items():
-            if f < min_support:
-                continue
-            c = correct_counts.get(pair, 0)
-            # Recur-in-failure, rare-in-success score.
-            score = (f / n_failures) / (1.0 + c)
-            ranking.append((pair, score))
-        ranking.sort(key=lambda t: (-t[1], t[0]))
-        return ranking
-
-    @staticmethod
-    def _root_rank(ranking, truth):
-        root_pcs = {pc for pair in truth for pc in pair}
-        for i, (pair, _score) in enumerate(ranking, start=1):
-            if pair[0] in root_pcs and pair[1] in root_pcs:
-                return i
-        return None
 
 
 def _sampled_pairs(run, window):
@@ -145,3 +65,140 @@ def _sampled_pairs(run, window):
                 if a.tid != b.tid:
                     pairs.add((a.pc, b.pc))
     return pairs
+
+
+def _rank(fail_counts, correct_counts, n_failures, min_support):
+    """Recur-in-failure, rare-in-success constraint ranking."""
+    ranking = []
+    for pair, f in fail_counts.items():
+        if f < min_support:
+            continue
+        c = correct_counts.get(pair, 0)
+        score = (f / n_failures) / (1.0 + c)
+        ranking.append((pair, score))
+    ranking.sort(key=lambda t: (-t[1], t[0]))
+    return ranking
+
+
+def _root_rank(ranking, pcs):
+    """1-based rank of the first pair whose both pcs are root-cause pcs."""
+    for i, (pair, _score) in enumerate(ranking, start=1):
+        if pair[0] in pcs and pair[1] in pcs:
+            return i
+    return None
+
+
+class AvisoEngine(Predictor):
+    """Failure-avoidance constraints as a root-cause ranking."""
+
+    capabilities = EngineCapabilities(
+        name="aviso",
+        description="Aviso-style event-pair constraints from failure runs",
+        trains_offline=True, needs_failure_runs=10,
+        multithreaded_only=True, adapts_online=False, warmable=True)
+
+    def __init__(self, config=None, window=12, good_rank=10,
+                 min_failure_support=2, max_failures=10):
+        super().__init__(config)
+        self.window = window
+        # A constraint "finds" the bug once it appears at or above this
+        # rank; until then Aviso asks for another failure run.
+        self.good_rank = good_rank
+        # A candidate only becomes a reportable constraint once it has
+        # recurred in this many failure runs -- Aviso's event-pair model
+        # cannot distinguish signal from coincidence with a single
+        # failure, which is why the paper feeds it multiple failures.
+        self.min_failure_support = min_failure_support
+        self.max_failures = max_failures
+        self._counts = None        # (pc, pc) -> correct-run occurrences
+        self._multithreaded = None
+        #: failure runs the last :meth:`report_trained` consumed (0 when
+        #: the program is single-threaded and Aviso is inapplicable)
+        self.failures_used = 0
+
+    @property
+    def trained(self):
+        return self._counts is not None
+
+    def train(self, program, n_runs=10, seed0=0, jobs=None,
+              quarantine=None, **params):
+        runs = collect_runs_for_seeds(
+            program, range(seed0, seed0 + n_runs), jobs=jobs,
+            quarantine=quarantine, **params)
+        counts = defaultdict(int)
+        multithreaded = False
+        for run in runs:
+            multithreaded = multithreaded or run.n_threads > 1
+            for pair in _sampled_pairs(run, self.window):
+                counts[pair] += 1
+        self._counts = dict(counts)
+        self._multithreaded = multithreaded
+
+    def predict_batch(self, seqs):
+        # Background rarity of the final dependence's pc pair: a pair
+        # never seen in correct windows is maximally suspicious.
+        return np.array([
+            1.0 / (1.0 + self._counts.get(
+                (seq[-1].store_pc, seq[-1].load_pc), 0))
+            for seq in seqs], dtype=float)
+
+    def _state_payload(self):
+        return {"counts": [[a, b, n] for (a, b), n
+                           in sorted(self._counts.items())],
+                "multithreaded": self._multithreaded}
+
+    def _load_state_payload(self, state):
+        self._counts = {(a, b): n for a, b, n in state["counts"]}
+        self._multithreaded = bool(state["multithreaded"])
+
+    def report_trained(self, program, failure_seed=12345,
+                       n_pruning_runs=20, pruning_seed0=100,
+                       failure_params=None, correct_params=None,
+                       pruning_params=None, root_cause=None,
+                       jobs=None, quarantine=None):
+        first = failure_run(program, failure_seed, failure_params)
+        truth = truth_of(first, root_cause)
+        self.failures_used = 0
+        if not self._multithreaded:
+            report = candidate_report(
+                program_name(program, first), failed=first.failed,
+                failure_description=(str(first.failure)
+                                     if first.failure else ""),
+                truth=truth, candidates=[], engine=self.name,
+                applicable=False)
+            report.notes.append(
+                "aviso is inapplicable: single-threaded program has no "
+                "inter-thread event pairs")
+            return report
+        pcs = root_pcs(truth)
+        fail_counts = defaultdict(int)
+        failed = False
+        ranking = []
+        for k in range(1, self.max_failures + 1):
+            run = (first if k == 1
+                   else failure_run(program, failure_seed + k - 1,
+                                    failure_params))
+            self.failures_used = k
+            if not run.failed:
+                continue
+            failed = True
+            for pair in _window_pairs(run, self.window):
+                fail_counts[pair] += 1
+            ranking = _rank(fail_counts, self._counts, k,
+                            self.min_failure_support)
+            rank = _root_rank(ranking, pcs)
+            if rank is not None and rank <= self.good_rank:
+                break
+        if not failed:
+            return no_failure_report(program, first, truth, self.name)
+        candidates = [
+            candidate(f"{a:#x}->{b:#x}", score, a in pcs and b in pcs)
+            for (a, b), score in ranking]
+        report = candidate_report(
+            program_name(program, first), failed=True,
+            failure_description=(str(first.failure)
+                                 if first.failure else ""),
+            truth=truth, candidates=candidates, engine=self.name)
+        report.notes.append(
+            f"aviso: accumulated {self.failures_used} failure runs")
+        return report

@@ -13,16 +13,32 @@ runs and a single failure run. Scoring follows CBI/PBI:
                 - Fail(P obs)  / (Fail(P obs)  + Succ(P obs))
 
 ranked descending, ties broken by more failing observations.
+
+:class:`PBIEngine` runs the protocol behind the
+:class:`~repro.engines.base.Predictor` protocol: ``train`` counts the
+correct-run predicates, ``report_trained`` scores the failure run's.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.offline import collect_runs_for_seeds
+from repro.engines.base import (
+    EngineCapabilities,
+    Predictor,
+    candidate,
+    candidate_report,
+    failure_run,
+    no_failure_report,
+    program_name,
+    root_pcs,
+    truth_of,
+)
 from repro.sim.machine import annotate_run
 from repro.sim.params import MachineParams
 from repro.trace.events import EventKind
-from repro.workloads.framework import run_program
 
 
 @dataclass(frozen=True)
@@ -34,16 +50,6 @@ class Predicate:
 
     def __str__(self):
         return f"pc={self.pc:#x}:{self.event}"
-
-
-@dataclass
-class PBIResult:
-    """Ranked predicate list for one diagnosis attempt."""
-
-    ranking: List[Tuple[Predicate, float]]
-    rank: Optional[int]
-    total_predicates: int
-    found: bool
 
 
 def _observe(run, params):
@@ -61,44 +67,86 @@ def _observe(run, params):
     return true_preds, observed_pcs
 
 
-class PBIDiagnoser:
-    """Runs the PBI protocol against a bug program."""
+class PBIEngine(Predictor):
+    """Sampled-predicate Increase scoring (CBI/PBI statistics)."""
 
-    def __init__(self, params=None, n_correct=15):
+    capabilities = EngineCapabilities(
+        name="pbi",
+        description="PBI-style predicate Increase scoring (MESI states "
+                    "and branches)",
+        trains_offline=True, needs_failure_runs=1,
+        multithreaded_only=False, adapts_online=False, warmable=True)
+
+    def __init__(self, config=None, params=None):
+        super().__init__(config)
         self.params = params or MachineParams()
-        self.n_correct = n_correct
+        self._succ_true = None  # Predicate -> #correct runs true
+        self._succ_obs = None   # pc -> #correct runs observed
+        self._n_correct = 0
 
-    def diagnose(self, program, failure_seed=12345, correct_seed0=500,
-                 failure_params=None, correct_params=None,
-                 root_cause=None) -> PBIResult:
-        failure_params = dict(failure_params or {"buggy": True})
-        correct_params = dict(correct_params or {"buggy": False})
+    @property
+    def trained(self):
+        return self._succ_true is not None
 
-        failure_run = run_program(program, seed=failure_seed,
-                                  **failure_params)
-        truth = root_cause or failure_run.meta.get("root_cause") or set()
-        root_pcs = {pc for pair in truth for pc in pair}
-
-        fail_true, fail_obs = _observe(failure_run, self.params)
-
-        succ_true = defaultdict(int)   # predicate -> #correct runs true
-        succ_obs = defaultdict(int)    # pc -> #correct runs observed
-        for i in range(self.n_correct):
-            run = run_program(program, seed=correct_seed0 + i,
-                              **correct_params)
+    def train(self, program, n_runs=10, seed0=0, jobs=None,
+              quarantine=None, **params):
+        runs = collect_runs_for_seeds(
+            program, range(seed0, seed0 + n_runs), jobs=jobs,
+            quarantine=quarantine, **params)
+        succ_true = defaultdict(int)
+        succ_obs = defaultdict(int)
+        for run in runs:
             true_preds, obs_pcs = _observe(run, self.params)
             for pred in true_preds:
                 succ_true[pred] += 1
             for pc in obs_pcs:
                 succ_obs[pc] += 1
+        self._succ_true = dict(succ_true)
+        self._succ_obs = dict(succ_obs)
+        self._n_correct = len(runs)
 
-        all_preds = set(fail_true) | set(succ_true)
+    def predict_batch(self, seqs):
+        # Rarity of the final load pc across correct runs: loads the
+        # correct executions never exercise score highest.
+        n = max(1, self._n_correct)
+        return np.array([
+            1.0 - self._succ_obs.get(seq[-1].load_pc, 0) / n
+            for seq in seqs], dtype=float)
+
+    def _state_payload(self):
+        return {
+            "succ_true": [[p.pc, p.event, n] for p, n
+                          in sorted(self._succ_true.items(),
+                                    key=lambda t: (t[0].pc, t[0].event))],
+            "succ_obs": [[pc, n] for pc, n
+                         in sorted(self._succ_obs.items())],
+            "n_correct": self._n_correct,
+        }
+
+    def _load_state_payload(self, state):
+        self._succ_true = {Predicate(pc, event): n
+                           for pc, event, n in state["succ_true"]}
+        self._succ_obs = {pc: n for pc, n in state["succ_obs"]}
+        self._n_correct = int(state["n_correct"])
+
+    def report_trained(self, program, failure_seed=12345,
+                       n_pruning_runs=20, pruning_seed0=100,
+                       failure_params=None, correct_params=None,
+                       pruning_params=None, root_cause=None,
+                       jobs=None, quarantine=None):
+        run = failure_run(program, failure_seed, failure_params)
+        truth = truth_of(run, root_cause)
+        if not run.failed:
+            return no_failure_report(program, run, truth, self.name)
+        pcs = root_pcs(truth)
+        fail_true, fail_obs = _observe(run, self.params)
+        all_preds = set(fail_true) | set(self._succ_true)
         ranking = []
         for pred in all_preds:
             f_true = 1 if pred in fail_true else 0
-            s_true = succ_true.get(pred, 0)
+            s_true = self._succ_true.get(pred, 0)
             f_obs = 1 if pred.pc in fail_obs else 0
-            s_obs = succ_obs.get(pred.pc, 0)
+            s_obs = self._succ_obs.get(pred.pc, 0)
             if f_true + s_true == 0 or f_obs + s_obs == 0:
                 continue
             increase = (f_true / (f_true + s_true)
@@ -107,13 +155,10 @@ class PBIDiagnoser:
         # Positive-score predicates are the report; rank by score, then
         # by failing observations.
         ranking.sort(key=lambda t: (-t[1], -t[2], t[0].pc))
-        reported = [(p, s) for p, s, _f in ranking if s > 0]
-
-        rank = None
-        for i, (pred, _score) in enumerate(reported, start=1):
-            if pred.pc in root_pcs:
-                rank = i
-                break
-        return PBIResult(ranking=reported, rank=rank,
-                         total_predicates=len(reported),
-                         found=rank is not None)
+        candidates = [
+            candidate(str(pred), score, pred.pc in pcs)
+            for pred, score, _f in ranking if score > 0]
+        return candidate_report(
+            program_name(program, run), failed=True,
+            failure_description=str(run.failure) if run.failure else "",
+            truth=truth, candidates=candidates, engine=self.name)

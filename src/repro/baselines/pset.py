@@ -9,12 +9,29 @@ This is the class of scheme ACT's adaptivity argument targets: the
 invariants are exact, so *any* new code or new interleaving raises
 violations until the whole program is re-trained. The adaptivity
 experiment (Figure 7(b)) uses this as the rigid-baseline contrast.
+
+:class:`PSetEngine` puts the invariants behind the
+:class:`~repro.engines.base.Predictor` protocol: the failure run's
+violating dependences, ranked by recurrence, are its report.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
+import numpy as np
+
+from repro.core.offline import collect_runs_for_seeds
+from repro.engines.base import (
+    EngineCapabilities,
+    Predictor,
+    candidate,
+    candidate_report,
+    failure_run,
+    no_failure_report,
+    program_name,
+    truth_of,
+)
 from repro.trace.raw import extract_raw_deps
 
 
@@ -61,3 +78,80 @@ class PSetInvariants:
 
     def n_invariants(self):
         return sum(len(s) for s in self.psets.values())
+
+
+class PSetEngine(Predictor):
+    """Exact per-load valid-writer invariants; violations are the report."""
+
+    capabilities = EngineCapabilities(
+        name="pset",
+        description="PSet-style per-load valid-writer invariant sets",
+        trains_offline=True, needs_failure_runs=1,
+        multithreaded_only=False, adapts_online=False, warmable=True)
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self._invariants = None
+
+    @property
+    def trained(self):
+        return self._invariants is not None
+
+    def train(self, program, n_runs=10, seed0=0, jobs=None,
+              quarantine=None, **params):
+        runs = collect_runs_for_seeds(
+            program, range(seed0, seed0 + n_runs), jobs=jobs,
+            quarantine=quarantine, **params)
+        self._invariants = PSetInvariants.train(
+            runs, filter_stack=self.config.filter_stack_loads)
+
+    def predict_batch(self, seqs):
+        return np.array([
+            0.0 if self._invariants.is_valid(seq[-1]) else 1.0
+            for seq in seqs], dtype=float)
+
+    def _state_payload(self):
+        return {"psets": [
+            [load_pc, sorted([s, int(inter)] for s, inter in writers)]
+            for load_pc, writers in sorted(self._invariants.psets.items())]}
+
+    def _load_state_payload(self, state):
+        inv = PSetInvariants()
+        for load_pc, writers in state["psets"]:
+            inv.psets[load_pc] = {(s, bool(inter)) for s, inter in writers}
+        self._invariants = inv
+
+    def report_trained(self, program, failure_seed=12345,
+                       n_pruning_runs=20, pruning_seed0=100,
+                       failure_params=None, correct_params=None,
+                       pruning_params=None, root_cause=None,
+                       jobs=None, quarantine=None):
+        run = failure_run(program, failure_seed, failure_params)
+        truth = truth_of(run, root_cause)
+        if not run.failed:
+            return no_failure_report(program, run, truth, self.name)
+        violations = self._invariants.violations(
+            run, filter_stack=self.config.filter_stack_loads)
+        # Rank violating dependences by dynamic recurrence, ties broken
+        # by first occurrence in the global event order.
+        stats = {}
+        for rec in sorted(violations, key=lambda r: r.index):
+            key = (rec.dep.store_pc, rec.dep.load_pc)
+            if key not in stats:
+                stats[key] = [0, rec.index]
+            stats[key][0] += 1
+        ordered = sorted(stats.items(),
+                         key=lambda t: (-t[1][0], t[1][1], t[0]))
+        total = sum(count for count, _first in stats.values()) or 1
+        candidates = [
+            candidate(f"{store:#x}->{load:#x}", count / total,
+                      (store, load) in truth)
+            for (store, load), (count, _first) in ordered]
+        report = candidate_report(
+            program_name(program, run), failed=True,
+            failure_description=str(run.failure) if run.failure else "",
+            truth=truth, candidates=candidates, engine=self.name)
+        report.notes.append(
+            f"pset: {len(violations)} violating dependences over "
+            f"{self._invariants.n_invariants()} invariants")
+        return report

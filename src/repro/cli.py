@@ -308,9 +308,6 @@ def _add_diagnose_args(d):
                    help="predictor engine (see docs/engines.md): nn "
                         "(default), aviso, pbi, pset, ensemble, or "
                         "ensemble:a+b for explicit members")
-    d.add_argument("--no-fast", dest="fast", action="store_false",
-                   help="replay the failure run through the scalar "
-                        "reference path instead of the batched fast path")
     d.add_argument("--checkpoint", metavar="PATH",
                    help="save checksummed phase snapshots to PATH "
                         "(created if missing, resumed if present)")

@@ -88,9 +88,14 @@ def _heal_module(module, trained, tid, quarantine):
     return module
 
 
-def deploy_on_run(trained, run, keep_records=False, fast=True,
-                  chunk_size=None, quarantine=None):
+def deploy_on_run(trained, run, keep_records=False, quarantine=None):
     """Feed every RAW dependence of ``run`` through per-thread AMs.
+
+    An active fault plan or sampling policy takes
+    :func:`replay_scalar`: the per-push FIFO-overrun fault site and the
+    per-dependence admit gate (see :mod:`repro.core.policy`) live only
+    there. Otherwise the batched :func:`repro.core.fastpath.replay_run`,
+    bit-identical to the scalar replay, does the work.
 
     Args:
         trained: a :class:`~repro.core.offline.TrainedACT`.
@@ -98,14 +103,6 @@ def deploy_on_run(trained, run, keep_records=False, fast=True,
             diagnosis this is the failure execution).
         keep_records: retain each :class:`PredictionRecord` (memory-heavy
             for long runs; used by analysis code).
-        fast: route through the batched replay fast path
-            (:mod:`repro.core.fastpath`), which is bit-identical to the
-            scalar replay; pass ``fast=False`` to force the reference
-            per-dependence path. An active fault plan also forces the
-            scalar path -- the per-push FIFO-overrun site lives there --
-            as does an active sampling policy (the per-dependence admit
-            gate is scalar-path-only; see :mod:`repro.core.policy`).
-        chunk_size: fast-path chunk size override (None for the default).
         quarantine: optional :class:`~repro.faults.Quarantine`; records
             healed weight damage instead of replaying with NaN weights.
 
@@ -113,17 +110,22 @@ def deploy_on_run(trained, run, keep_records=False, fast=True,
         :class:`DeploymentResult` with the AMs (and their debug buffers)
         in their end-of-run state.
     """
-    plan = _faults.get_plan()
-    active_policy = _policy.get_policy()
-    if plan.enabled or active_policy.enabled:
-        fast = False
-    heal = plan.enabled or quarantine is not None
-    if fast:
-        from repro.core import fastpath
-        if chunk_size is None:
-            chunk_size = fastpath.DEFAULT_CHUNK_SIZE
-        return fastpath.replay_run(trained, run, keep_records=keep_records,
-                                   chunk_size=chunk_size)
+    if _faults.get_plan().enabled or _policy.get_policy().enabled:
+        return replay_scalar(trained, run, keep_records=keep_records,
+                             quarantine=quarantine)
+    from repro.core import fastpath
+    return fastpath.replay_run(trained, run, keep_records=keep_records)
+
+
+def replay_scalar(trained, run, keep_records=False, quarantine=None):
+    """Replay ``run`` one dependence at a time through the AMs.
+
+    The faithful per-dependence model of the hardware: the path for an
+    active fault plan or sampling policy, and the reference oracle the
+    batched fast path is pinned against. Weight damage is healed when a
+    fault plan is active or a ``quarantine`` is given.
+    """
+    heal = _faults.get_plan().enabled or quarantine is not None
     cfg = trained.config
 
     def fresh_module(tid):

@@ -83,8 +83,8 @@ def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
                  n_pruning_runs, pruning_seed0, failure_params,
                  correct_params, pruning_params, root_cause, policy=None):
     """Checkpoint identity for one diagnosis: everything that shapes the
-    result. ``jobs``/``fast`` are excluded -- they never change outputs,
-    so a serial run may resume a parallel one and vice versa. A disabled
+    result. ``jobs`` is excluded -- it never changes outputs, so a
+    serial run may resume a parallel one and vice versa. A disabled
     policy is elided so pre-policy checkpoints keep resuming."""
     fp = {
         "program": getattr(program, "name", "?"),
@@ -170,8 +170,7 @@ def diagnose_failure(program, config=None, trained=None,
                      failure_seed=12345,
                      n_pruning_runs=20, pruning_seed0=100,
                      failure_params=None, correct_params=None,
-                     pruning_params=None, root_cause=None,
-                     fast=True, jobs=None,
+                     pruning_params=None, root_cause=None, jobs=None,
                      faults=None, quarantine=None, checkpoint=None,
                      trained_sink=None, engine=None, engine_state=None,
                      engine_state_sink=None, policy=None):
@@ -195,10 +194,6 @@ def diagnose_failure(program, config=None, trained=None,
             dependences from the code sections where the dependence
             sequences of the Debug Buffer belong").
         root_cause: override the program's ground-truth dependence keys.
-        fast: replay the failure run through the batched fast path
-            (bit-identical to the scalar replay; ``fast=False`` forces
-            the reference per-dependence path). An active fault plan
-            forces the scalar path regardless.
         jobs: run independent units (correct-run collection, pruning
             runs, offline training) across ``jobs`` worker processes.
             ``None``/1 keeps everything serial; results are identical
@@ -253,7 +248,7 @@ def diagnose_failure(program, config=None, trained=None,
                 n_pruning_runs=n_pruning_runs, pruning_seed0=pruning_seed0,
                 failure_params=failure_params, correct_params=correct_params,
                 pruning_params=pruning_params, root_cause=root_cause,
-                fast=fast, jobs=jobs, faults=faults, quarantine=quarantine,
+                jobs=jobs, faults=faults, quarantine=quarantine,
                 checkpoint=checkpoint, trained_sink=trained_sink,
                 state=engine_state, state_sink=engine_state_sink)
     config = config or ACTConfig()
@@ -274,14 +269,14 @@ def diagnose_failure(program, config=None, trained=None,
             return _diagnose_phases(
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
-                correct_params, pruning_params, root_cause, fast, jobs,
+                correct_params, pruning_params, root_cause, jobs,
                 quarantine, checkpoint, trained_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
-                     pruning_params, root_cause, fast=True, jobs=None,
+                     pruning_params, root_cause, jobs=None,
                      quarantine=None, checkpoint=None, trained_sink=None):
     if checkpoint is not None:
         cached = checkpoint.get("report")
@@ -333,7 +328,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
         report.notes.append("program provides no ground-truth root cause")
 
     with tele.span("diagnose.deploy"):
-        deployment = deploy_on_run(trained, failure_run, fast=fast,
+        deployment = deploy_on_run(trained, failure_run,
                                    quarantine=quarantine)
     report.n_deps = deployment.n_deps
     report.n_invalid = deployment.n_invalid

@@ -1,6 +1,6 @@
 """Batched replay fast path for production-run deployment.
 
-:func:`repro.core.deploy.deploy_on_run` replays a trace one dependence
+:func:`repro.core.deploy.replay_scalar` replays a trace one dependence
 at a time through :meth:`ACTModule.process_dep` -- faithful to the
 hardware, but Python-loop bound. This module replays the same trace in
 chunks: while an AM sits in TESTING mode its weights cannot change, so a
@@ -40,7 +40,7 @@ def replay_run(trained, run, keep_records=False,
                chunk_size=DEFAULT_CHUNK_SIZE):
     """Replay ``run`` through per-thread AMs using chunked batch scoring.
 
-    Drop-in equivalent of :func:`repro.core.deploy.deploy_on_run`: the
+    Drop-in equivalent of :func:`repro.core.deploy.replay_scalar`: the
     returned :class:`DeploymentResult` carries AMs in bit-identical
     end-of-run state (weights, buffers, stats, mode).
     """

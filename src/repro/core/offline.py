@@ -375,8 +375,7 @@ class OfflineTrainer:
                  augment_negatives=True, augment_per_positive=4,
                  drop_ambiguous_negatives=True, train_line_view=True):
         self.config = config or ACTConfig()
-        self.train_config = train_config or TrainConfig(
-            learning_rate=self.config.learning_rate)
+        self.train_config = train_config or TrainConfig()
         self.augment_negatives = augment_negatives
         self.augment_per_positive = augment_per_positive
         self.drop_ambiguous_negatives = drop_ambiguous_negatives

@@ -33,6 +33,7 @@ from repro import telemetry
 from repro.common.errors import EngineError
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import DiagnosisReport
+from repro.workloads.framework import run_program
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,35 @@ def candidate_report(program_name, failed, failure_description, truth,
         engine=engine, applicable=applicable,
         candidates=list(candidates))
     report.notes.extend(notes)
+    return report
+
+
+def failure_run(program, seed, failure_params):
+    """The failure execution a baseline engine diagnoses."""
+    return run_program(program, seed=seed, **dict(failure_params
+                                                  or {"buggy": True}))
+
+
+def truth_of(run, root_cause):
+    """Ground-truth dependence keys: the override, else the run's own."""
+    return root_cause or run.meta.get("root_cause") or set()
+
+
+def root_pcs(truth):
+    """Every pc named by a ground-truth ``(store, load)`` pair."""
+    return {pc for pair in truth for pc in pair}
+
+
+def program_name(program, run):
+    return run.meta.get("program", getattr(program, "name", "?"))
+
+
+def no_failure_report(program, run, truth, engine):
+    """Report for a failure run that did not fail."""
+    report = candidate_report(
+        program_name(program, run), failed=False, failure_description="",
+        truth=truth, candidates=[], engine=engine)
+    report.notes.append("failure run did not fail; nothing to diagnose")
     return report
 
 
@@ -161,7 +191,7 @@ class Predictor:
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
+                       pruning_params=None, root_cause=None,
                        jobs=None, quarantine=None):
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
@@ -171,7 +201,7 @@ class Predictor:
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, fast=True, jobs=None,
+                        root_cause=None, jobs=None,
                         faults=None, quarantine=None, checkpoint=None,
                         trained_sink=None, state=None, state_sink=None):
         """Train if cold, then diagnose; the engine-routed entry point.
@@ -213,7 +243,7 @@ class Predictor:
                     failure_params=failure_params,
                     correct_params=correct_params,
                     pruning_params=pruning_params,
-                    root_cause=root_cause, fast=fast, jobs=jobs,
+                    root_cause=root_cause, jobs=jobs,
                     quarantine=quarantine)
                 if tele.enabled:
                     tele.inc("engine.diagnoses")

@@ -153,7 +153,7 @@ class EnsembleEngine(Predictor):
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, fast=True, jobs=None,
+                        root_cause=None, jobs=None,
                         faults=None, quarantine=None, checkpoint=None,
                         trained_sink=None, state=None, state_sink=None):
         """Run every member's protocol, then RRF-merge the reports.
@@ -190,7 +190,7 @@ class EnsembleEngine(Predictor):
                         failure_params=failure_params,
                         correct_params=correct_params,
                         pruning_params=pruning_params,
-                        root_cause=root_cause, fast=fast, jobs=jobs,
+                        root_cause=root_cause, jobs=jobs,
                         quarantine=quarantine,
                         state_sink=(lambda s, _m=member:
                                     _m.load_state(s))))

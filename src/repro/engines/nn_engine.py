@@ -62,7 +62,7 @@ class NNEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
+                       pruning_params=None, root_cause=None,
                        jobs=None, quarantine=None):
         from repro.core.diagnosis import diagnose_failure
 
@@ -71,7 +71,7 @@ class NNEngine(Predictor):
             failure_seed=failure_seed, n_pruning_runs=n_pruning_runs,
             pruning_seed0=pruning_seed0, failure_params=failure_params,
             correct_params=correct_params, pruning_params=pruning_params,
-            root_cause=root_cause, fast=fast, jobs=jobs,
+            root_cause=root_cause, jobs=jobs,
             quarantine=quarantine)
 
     def diagnose_report(self, program, trained=None, state=None,

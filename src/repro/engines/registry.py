@@ -31,11 +31,9 @@ def _ensure_loaded():
     if _LOADED:
         return
     _LOADED = True
-    from repro.engines.baseline_engines import (
-        AvisoEngine,
-        PBIEngine,
-        PSetEngine,
-    )
+    from repro.baselines.aviso import AvisoEngine
+    from repro.baselines.pbi import PBIEngine
+    from repro.baselines.pset import PSetEngine
     from repro.engines.ensemble import EnsembleEngine
     from repro.engines.nn_engine import NNEngine
 

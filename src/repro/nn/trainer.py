@@ -1,9 +1,12 @@
 """Offline network training and topology search.
 
-Mirrors Section VI.B: per-example back-propagation with learning rate
-0.2, sweeping the number of RAW dependences per input (``N`` from 1 to
-5, i.e. input width 2N) and the hidden width (1 to 10), selecting the
-topology with the lowest misprediction rate on held-out test data.
+Mirrors Section VI.B: sweeps the number of RAW dependences per input
+(``N`` from 1 to 5, i.e. input width 2N) and the hidden width (1 to
+10), selecting the topology with the lowest misprediction rate on
+held-out test data. Offline training is software, so it uses full-batch
+gradient descent with momentum; the hardware's per-example rule
+(learning rate 0.2) lives in :func:`_sgd_examples`, which online
+negative feedback uses.
 """
 
 from dataclasses import dataclass, field
@@ -11,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.common.rng import make_np_rng
-from repro.nn.network import OneHiddenLayerNet, SigmoidTable
+from repro.nn.network import OneHiddenLayerNet
 
 
 @dataclass
 class TrainConfig:
     """Hyper-parameters for offline back-propagation."""
 
-    learning_rate: float = 0.2
     max_epochs: int = 3000
     # Stop this many epochs after the training error first reaches
     # target_error (lets the margins harden without running the full
@@ -31,7 +32,6 @@ class TrainConfig:
     # 0.1 (saturating sigmoids toward exactly 0/1 slows convergence).
     positive_target: float = 0.9
     negative_target: float = 0.1
-    shuffle: bool = True
     seed: int = 0
     # Replicate the minority class so positives and negatives carry
     # similar total weight during back-propagation. Without this the
@@ -43,21 +43,14 @@ class TrainConfig:
     # pattern set with a tiny MLP is sensitive to the weight init, and
     # restarts are the standard cure.
     restarts: int = 5
-    # Vectorised full-batch gradient descent with momentum instead of
-    # per-example SGD: identical model, deterministic, and orders of
-    # magnitude faster in numpy. The per-example rule remains available
-    # (it is what the hardware's online-training mode uses).
-    batch: bool = True
+    # Offline training is full-batch gradient descent with momentum:
+    # deterministic and orders of magnitude faster in numpy than the
+    # per-example rule, which only the hardware's online-training mode
+    # (and negative feedback, via _sgd_examples) uses.
     momentum: float = 0.9
     batch_learning_rate: float = 2.0
     # Margin the restart loop considers "good enough" to stop early.
     accept_margin: float = 0.25
-    # Use the inlined per-example SGD kernel (_sgd_examples: hoisted
-    # weight views + direct sigmoid-table lookups) instead of calling
-    # net.train_example per row. Bit-identical results; the reference
-    # loop stays available as the equivalence oracle (and as the
-    # fallback for custom sigmoid objects).
-    fast_sgd: bool = True
 
 
 @dataclass
@@ -140,11 +133,7 @@ def _train_once(positives, negatives, n_hidden, cfg, seed, max_inputs):
     ])
     labels = targets >= 0.5
 
-    if cfg.batch:
-        epoch, err_rate, history = _fit_batch(net, xs, targets, labels, cfg)
-    else:
-        epoch, err_rate, history = _fit_sgd(net, xs, targets, labels, cfg,
-                                            seed)
+    epoch, err_rate, history = _fit_batch(net, xs, targets, labels, cfg)
     outputs = net.predict_batch(xs)
     margins = np.where(labels, outputs - 0.5, 0.5 - outputs)
     return TrainResult(net=net, epochs=epoch, train_error=err_rate,
@@ -166,12 +155,6 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
     occasionally round to a different table entry.
     """
     sig = net.sigmoid
-    if not isinstance(sig, SigmoidTable):
-        # Custom activation object: take the reference path.
-        step = net.train_example_ce if cross_entropy else net.train_example
-        for idx in (order if order is not None else range(len(xs))):
-            step(xs[idx], targets[idx], lr)
-        return
     table = sig._table
     clip = sig.clip
     res1 = sig.resolution - 1
@@ -200,38 +183,6 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
         w_out[-1] += lr * err_o
         wh += lr * np.outer(err_h, x)
         whb += lr * err_h
-
-
-def _fit_sgd(net, xs, targets, labels, cfg, seed):
-    """Per-example back-propagation (the hardware's learning rule)."""
-    rng = make_np_rng(seed, stream=0x7EA1)
-    order = np.arange(len(xs))
-    history = []
-    err_rate = 1.0
-    epoch = 0
-    fit_epoch = None
-    tele = telemetry.get_registry()
-    for epoch in range(1, cfg.max_epochs + 1):
-        if cfg.shuffle:
-            rng.shuffle(order)
-        if cfg.fast_sgd:
-            _sgd_examples(net, xs, targets, cfg.learning_rate, order)
-        else:
-            for idx in order:
-                net.train_example(xs[idx], targets[idx], cfg.learning_rate)
-        outputs = net.predict_batch(xs)
-        err_rate = float(np.mean((outputs >= 0.5) != labels))
-        history.append(err_rate)
-        if tele.enabled:
-            tele.observe("nn.epoch_loss", err_rate)
-        if err_rate <= cfg.target_error:
-            if fit_epoch is None:
-                fit_epoch = epoch
-            if epoch - fit_epoch >= cfg.patience_after_fit:
-                break
-        else:
-            fit_epoch = None
-    return epoch, err_rate, history
 
 
 def _fit_batch(net, xs, targets, labels, cfg):

@@ -100,7 +100,6 @@ class DiagnoseRequest:
     threshold: float = 0.05
     top: int = 5
     jobs: Optional[int] = None
-    fast: bool = True
     engine: str = "nn"
     faults: Optional[str] = None
     policy: Optional[str] = None
@@ -117,7 +116,7 @@ class DiagnoseRequest:
                    pruning_runs=args.pruning_runs, seq_len=args.seq_len,
                    debug_buffer=args.debug_buffer,
                    threshold=args.threshold, top=args.top, jobs=args.jobs,
-                   fast=args.fast, engine=args.engine, faults=args.faults,
+                   engine=args.engine, faults=args.faults,
                    policy=args.policy,
                    quarantine_report=args.quarantine_report,
                    checkpoint=args.checkpoint, resume=args.resume)
@@ -236,7 +235,7 @@ def run_diagnose(req, warm=None):
                                   n_train_runs=req.train_runs,
                                   n_pruning_runs=req.pruning_runs,
                                   failure_seed=req.seed,
-                                  fast=req.fast, jobs=req.jobs,
+                                  jobs=req.jobs,
                                   faults=plan, quarantine=quarantine,
                                   checkpoint=checkpoint,
                                   trained_sink=trained_sink,
@@ -473,6 +472,7 @@ def run_shootout(req):
     from repro.analysis.shootout import (
         ShootoutSpec,
         append_bench,
+        bench_entry,
         format_shootout,
         run_shootout,
         shootout_json,
@@ -503,7 +503,7 @@ def run_shootout(req):
             f.write(shootout_json(result))
         lines.append(f"metrics written to {req.out}")
     if req.bench:
-        doc = append_bench(result, req.bench)
+        doc = append_bench(bench_entry(result), req.bench)
         lines.append(f"accuracy trajectory: {req.bench} "
                      f"({len(doc['entries'])} entries)")
     return Outcome(rc=0, out="\n".join(lines),
@@ -551,11 +551,12 @@ def run_frontier(req):
     """Sweep sampling rates x FIFO depths into a Pareto table."""
     from repro.analysis.frontier import (
         FrontierSpec,
-        append_bench,
+        bench_entry,
         format_frontier,
         frontier_json,
         run_frontier,
     )
+    from repro.analysis.shootout import append_bench
 
     for path in (req.out, req.bench):
         if path:
@@ -582,7 +583,7 @@ def run_frontier(req):
             f.write(frontier_json(result))
         lines.append(f"metrics written to {req.out}")
     if req.bench:
-        doc = append_bench(result, req.bench)
+        doc = append_bench(bench_entry(result), req.bench)
         lines.append(f"accuracy trajectory: {req.bench} "
                      f"({len(doc['entries'])} entries)")
     return Outcome(rc=0, out="\n".join(lines),

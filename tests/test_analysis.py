@@ -1,8 +1,12 @@
 """Tests for the experiment harness (FAST preset)."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis.presets import FAST, FULL
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class TestPresets:
@@ -87,6 +91,22 @@ class TestTable5:
         from repro.analysis.table5 import format_table5
         out = format_table5(rows)
         assert "mysql2" in out and "n/a (sequential)" in out
+
+    @pytest.mark.slow
+    def test_fast_preset_matches_golden(self, capsys, update_golden):
+        """``repro experiment table5 --preset fast``, byte for byte:
+        ACT and both baselines on all 11 bugs."""
+        from repro.cli import main
+
+        assert main(["experiment", "table5", "--preset", "fast"]) == 0
+        text = capsys.readouterr().out
+        path = GOLDEN_DIR / "table5_fast.txt"
+        if update_golden:
+            path.write_text(text, encoding="utf-8")
+            pytest.skip(f"updated {path.name}")
+        assert path.exists(), (
+            f"golden file {path} missing; run pytest --update-golden")
+        assert text == path.read_text(encoding="utf-8")
 
 
 @pytest.mark.slow

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.aviso import AvisoDiagnoser
-from repro.baselines.pbi import PBIDiagnoser, Predicate
+from repro.baselines.aviso import AvisoEngine
+from repro.baselines.pbi import PBIEngine, Predicate
 from repro.baselines.pset import PSetInvariants
 from repro.core.offline import collect_correct_runs
 from repro.trace.raw import RawDep
@@ -51,27 +51,42 @@ class TestPSet:
         assert inv.violation_rate(run) == 1.0
 
 
+def _pbi(bug, n_correct):
+    """The PBI protocol: ``n_correct`` correct runs, one failure run."""
+    return PBIEngine().diagnose_report(get_bug(bug), n_train_runs=n_correct,
+                                       train_seed0=500, failure_seed=12345)
+
+
+def _aviso(bug, n_correct, max_failures):
+    """(engine, report) of the Aviso protocol on ``bug``."""
+    engine = AvisoEngine(max_failures=max_failures)
+    report = engine.diagnose_report(get_bug(bug), n_train_runs=n_correct,
+                                    train_seed0=300, failure_seed=901)
+    return engine, report
+
+
 class TestPBI:
     def test_finds_concurrency_bug(self):
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("mysql2"))
+        result = _pbi("mysql2", 8)
         assert result.found
-        assert result.rank <= result.total_predicates
+        assert result.rank <= len(result.candidates)
 
     def test_ranking_scores_descending(self):
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("apache"))
-        scores = [s for _p, s in result.ranking]
+        result = _pbi("apache", 8)
+        scores = [c["score"] for c in result.candidates]
         assert scores == sorted(scores, reverse=True)
 
     def test_misses_branch_invariant_sequential_bug(self):
         """seq's branch outcomes and cache states barely change between
         correct and failing runs -- the class of bug PBI misses."""
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("seq"))
+        result = _pbi("seq", 8)
         assert result.rank is None or result.rank > 1
 
     def test_predicates_have_valid_events(self):
-        result = PBIDiagnoser(n_correct=6).diagnose(get_bug("memcached"))
-        for pred, _score in result.ranking:
-            assert pred.event in ("M", "E", "S", "I", "T", "N")
+        result = _pbi("memcached", 6)
+        for c in result.candidates:
+            assert c["key"].rpartition(":")[2] in ("M", "E", "S", "I",
+                                                   "T", "N")
 
     def test_predicate_str(self):
         assert "0x10" in str(Predicate(0x10, "M"))
@@ -79,26 +94,23 @@ class TestPBI:
 
 class TestAviso:
     def test_inapplicable_to_sequential_bugs(self):
-        result = AvisoDiagnoser(n_correct=4).diagnose(get_bug("gzip"),
-                                                      max_failures=2)
+        _engine, result = _aviso("gzip", 4, max_failures=2)
         assert not result.applicable
         assert result.rank is None
 
     def test_needs_multiple_failures(self):
-        result = AvisoDiagnoser(n_correct=6).diagnose(get_bug("pbzip2"),
-                                                      max_failures=6)
+        engine, result = _aviso("pbzip2", 6, max_failures=6)
         assert result.applicable
         if result.found:
-            assert result.n_failures_used >= 2
+            assert engine.failures_used >= 2
 
     def test_finds_order_violation_eventually(self):
-        result = AvisoDiagnoser(n_correct=8).diagnose(get_bug("pbzip2"),
-                                                      max_failures=10)
+        _engine, result = _aviso("pbzip2", 8, max_failures=10)
         assert result.found
         assert result.rank is not None
 
     def test_ranking_pairs_are_inter_thread_pcs(self):
-        result = AvisoDiagnoser(n_correct=6).diagnose(get_bug("mysql2"),
-                                                      max_failures=6)
-        for (a, b), _score in result.ranking:
+        _engine, result = _aviso("mysql2", 6, max_failures=6)
+        for c in result.candidates:
+            a, b = (int(pc, 16) for pc in c["key"].split("->"))
             assert isinstance(a, int) and isinstance(b, int)

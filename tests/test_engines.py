@@ -441,11 +441,11 @@ class TestShootout:
 
     def test_bench_append_and_dedupe(self, small_shootout, tmp_path):
         path = tmp_path / "BENCH_accuracy.json"
-        doc = append_bench(small_shootout, str(path))
+        doc = append_bench(bench_entry(small_shootout), str(path))
         assert doc["schema"] == 1
         assert doc["entries"] == [bench_entry(small_shootout)]
         # Re-running the same shootout must not grow the trajectory.
-        again = append_bench(small_shootout, str(path))
+        again = append_bench(bench_entry(small_shootout), str(path))
         assert again["entries"] == doc["entries"]
         on_disk = json.loads(path.read_text(encoding="utf-8"))
         assert on_disk == doc

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core import fastpath
 from repro.core.config import ACTConfig
-from repro.core.deploy import deploy_on_run
+from repro.core.deploy import deploy_on_run, replay_scalar
 from repro.core.offline import OfflineTrainer
 from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug, get_kernel
@@ -51,8 +52,8 @@ def assert_deployments_equal(ref, fast):
 def test_bit_identical_on_bug_failure_run(name):
     trained = _trained_bug(name)
     run = run_program(get_bug(name), seed=12345, buggy=True)
-    ref = deploy_on_run(trained, run, keep_records=True, fast=False)
-    fast = deploy_on_run(trained, run, keep_records=True, fast=True)
+    ref = replay_scalar(trained, run, keep_records=True)
+    fast = deploy_on_run(trained, run, keep_records=True)
     assert_deployments_equal(ref, fast)
 
 
@@ -61,10 +62,10 @@ def test_bit_identical_with_tiny_chunks():
     chunk-boundary window and partial-commit path."""
     trained = _trained_bug("gzip")
     run = run_program(get_bug("gzip"), seed=7, buggy=True)
-    ref = deploy_on_run(trained, run, keep_records=True, fast=False)
+    ref = replay_scalar(trained, run, keep_records=True)
     for chunk in (1, 3, 7, 64):
-        fast = deploy_on_run(trained, run, keep_records=True, fast=True,
-                             chunk_size=chunk)
+        fast = fastpath.replay_run(trained, run, keep_records=True,
+                                   chunk_size=chunk)
         assert_deployments_equal(ref, fast)
 
 
@@ -75,9 +76,9 @@ def test_bit_identical_across_training_stretches():
     trained = OfflineTrainer(config=churn_cfg).train(
         get_kernel("lu"), n_runs=4, seed0=0)
     run = run_program(get_kernel("fft"), seed=3)
-    ref = deploy_on_run(trained, run, keep_records=True, fast=False)
+    ref = replay_scalar(trained, run, keep_records=True)
     assert ref.n_mode_switches > 0  # the fallback is actually exercised
-    fast = deploy_on_run(trained, run, keep_records=True, fast=True)
+    fast = deploy_on_run(trained, run, keep_records=True)
     assert_deployments_equal(ref, fast)
 
 
@@ -87,8 +88,8 @@ def test_bit_identical_during_warmup_only_run():
     run = run_program(get_bug("gzip"), seed=2, buggy=False)
     short = type(run)(events=run.events[:6], code_map=run.code_map,
                       n_threads=run.n_threads, seed=run.seed)
-    ref = deploy_on_run(trained, short, keep_records=True, fast=False)
-    fast = deploy_on_run(trained, short, keep_records=True, fast=True)
+    ref = replay_scalar(trained, short, keep_records=True)
+    fast = deploy_on_run(trained, short, keep_records=True)
     assert_deployments_equal(ref, fast)
 
 
@@ -96,9 +97,9 @@ def test_act_telemetry_counters_match_scalar():
     trained = _trained_bug("gzip")
     run = run_program(get_bug("gzip"), seed=12345, buggy=True)
     with telemetry.use_registry(telemetry.Registry()) as ref_reg:
-        deploy_on_run(trained, run, fast=False)
+        replay_scalar(trained, run)
     with telemetry.use_registry(telemetry.Registry()) as fast_reg:
-        deploy_on_run(trained, run, fast=True)
+        deploy_on_run(trained, run)
     ref = ref_reg.snapshot()["counters"]
     fast = fast_reg.snapshot()["counters"]
     for key in ("act.deps_processed", "act.predictions",
@@ -114,11 +115,13 @@ def test_act_telemetry_counters_match_scalar():
             == ref_reg.snapshot()["histograms"]["act.window_mispred_rate"])
 
 
-def test_diagnose_fast_flag_identical_report():
+def test_diagnose_fast_flag_identical_report(monkeypatch):
+    """Diagnosis reports the same whichever replay path deploy takes."""
     program = get_bug("gzip")
-    from repro.core.diagnosis import diagnose_failure
+    from repro.core import diagnosis
 
     kwargs = dict(config=_CONFIG, n_train_runs=4, n_pruning_runs=6)
-    ref = diagnose_failure(program, fast=False, **kwargs)
-    fast = diagnose_failure(program, fast=True, **kwargs)
+    fast = diagnosis.diagnose_failure(program, **kwargs)
+    monkeypatch.setattr(diagnosis, "deploy_on_run", replay_scalar)
+    ref = diagnosis.diagnose_failure(program, **kwargs)
     assert ref == fast

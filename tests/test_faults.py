@@ -235,7 +235,7 @@ class TestWeightFlips:
 
     def test_deploy_heals_flipped_weights(self, trained_tinybug, tinybug):
         failure = run_program(tinybug, seed=12345, buggy=True)
-        clean = deploy_on_run(trained_tinybug, failure, fast=False)
+        clean = deploy_on_run(trained_tinybug, failure)
         quarantine = Quarantine()
         with telemetry.use_registry(telemetry.Registry()) as reg:
             with use_plan(FaultPlan(seed=9, weight_flip=1.0)):

@@ -15,12 +15,12 @@ from repro.common.errors import ConfigError
 from repro.core.policy import NULL_POLICY
 from repro.analysis.frontier import (
     FrontierSpec,
-    append_bench,
     bench_entry,
     format_frontier,
     frontier_json,
     run_frontier,
 )
+from repro.analysis.shootout import append_bench
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -143,10 +143,10 @@ class TestFrontierMetrics:
 
     def test_bench_append_and_dedupe(self, small_frontier, tmp_path):
         path = tmp_path / "BENCH_accuracy.json"
-        doc = append_bench(small_frontier, str(path))
+        doc = append_bench(bench_entry(small_frontier), str(path))
         assert doc["schema"] == 1
         assert doc["entries"] == [bench_entry(small_frontier)]
-        again = append_bench(small_frontier, str(path))
+        again = append_bench(bench_entry(small_frontier), str(path))
         assert again["entries"] == doc["entries"]
         on_disk = json.loads(path.read_text(encoding="utf-8"))
         assert on_disk == doc

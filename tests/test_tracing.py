@@ -340,7 +340,7 @@ class TestZeroCostAudit:
             for _ in range(5):
                 with telemetry.use_registry(registry):
                     t0 = time.perf_counter()
-                    deploy_on_run(trained_tinybug, long_run, fast=True)
+                    deploy_on_run(trained_tinybug, long_run)
                     dt = time.perf_counter() - t0
                 if best is None or dt < best:
                     best = dt

@@ -51,12 +51,6 @@ class TestTrainNetwork:
         out = result.net.predict_batch(pos)
         assert (out >= 0.5).all()
 
-    def test_sgd_mode_also_fits(self):
-        pos, neg = _blobs(n_per=10)
-        cfg = TrainConfig(batch=False, max_epochs=150, restarts=2)
-        result = train_network(pos, neg, n_hidden=4, config=cfg)
-        assert result.train_error <= 0.1
-
     def test_balance_replicates_minority(self):
         pos, neg = _blobs()
         cfg = TrainConfig(balance_classes=True)
@@ -164,40 +158,41 @@ class TestFastSgd:
             ref.train_example(xs[i], targets[i], 0.2)
         assert np.array_equal(fast.read_weights(), ref.read_weights())
 
-    def test_train_network_fast_equals_reference(self):
-        pos, neg = _blobs()
-        kwargs = dict(batch=False, seed=3, max_epochs=120, restarts=2)
-        fast = train_network(pos, neg, 4,
-                             config=TrainConfig(fast_sgd=True, **kwargs))
-        ref = train_network(pos, neg, 4,
-                            config=TrainConfig(fast_sgd=False, **kwargs))
-        assert np.array_equal(fast.net.read_weights(),
-                              ref.net.read_weights())
-        assert fast.epochs == ref.epochs
-        assert fast.train_error == ref.train_error
-        assert fast.history == ref.history
-
 
 @pytest.mark.slow
 class TestFastSgdBugWorkloads:
-    """Fast-SGD offline training is pinned to the scalar reference for
-    every registered bug workload, not just synthetic blobs."""
+    """The SGD kernel is pinned to the per-example method loop on every
+    registered bug workload's encoded training rows, not just on
+    synthetic blobs."""
 
-    def _weights(self, bug, fast_sgd):
+    def _rows(self, bug):
         from repro.core.config import ACTConfig
-        from repro.core.offline import OfflineTrainer
+        from repro.core.encoding import DepEncoder
+        from repro.core.offline import (
+            OfflineTrainer,
+            collect_correct_runs,
+            sequences_from_runs,
+        )
 
-        trainer = OfflineTrainer(
-            config=ACTConfig(seq_len=3),
-            train_config=TrainConfig(batch=False, max_epochs=40, restarts=1,
-                                     fast_sgd=fast_sgd))
-        return trainer.train(get_bug(bug), n_runs=2, seed0=0, buggy=False)
+        cfg = ACTConfig(seq_len=3)
+        runs = collect_correct_runs(get_bug(bug), 2, buggy=False)
+        pos, neg = sequences_from_runs(runs, cfg.seq_len,
+                                       filter_stack=cfg.filter_stack_loads)
+        pos, neg = OfflineTrainer(config=cfg).prepare_examples(pos, neg)
+        encoder = DepEncoder(code_map=runs[0].code_map)
+        xs = np.vstack([encoder.encode_many(pos, seq_len=cfg.seq_len),
+                        encoder.encode_many(neg, seq_len=cfg.seq_len)])
+        targets = np.array([0.9] * len(pos) + [0.1] * len(neg))
+        return cfg, xs, targets
 
     @pytest.mark.parametrize("bug", all_bug_names())
     def test_fast_equals_scalar(self, bug):
-        fast = self._weights(bug, True)
-        ref = self._weights(bug, False)
-        assert set(fast.weights) == set(ref.weights)
-        for tid in ref.weights:
-            assert np.array_equal(fast.weights[tid], ref.weights[tid])
-        assert np.array_equal(fast.default_weights, ref.default_weights)
+        cfg, xs, targets = self._rows(bug)
+        fast, ref = (OneHiddenLayerNet(cfg.n_inputs, cfg.n_hidden, seed=3,
+                                       max_inputs=cfg.max_inputs)
+                     for _ in range(2))
+        for _ in range(3):
+            _sgd_examples(fast, xs, targets, cfg.learning_rate)
+            for x, target in zip(xs, targets):
+                ref.train_example(x, target, cfg.learning_rate)
+        assert np.array_equal(fast.read_weights(), ref.read_weights())
