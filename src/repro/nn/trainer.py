@@ -7,6 +7,13 @@ held-out test data. Offline training is software, so it uses full-batch
 gradient descent with momentum; the hardware's per-example rule
 (learning rate 0.2) lives in :func:`_sgd_examples`, which online
 negative feedback uses.
+
+A network's independent restarts train in lockstep
+(:func:`_fit_lockstep`): their weights are stacked into one tensor and
+every epoch is one batched pass over all of them. Each stacked slice is
+the same computation a lone restart would make, so the weights, epoch
+counts and error histories do not depend on how many restarts share
+the stack.
 """
 
 from dataclasses import dataclass, field
@@ -38,10 +45,12 @@ class TrainConfig:
     # (few) synthesized negatives are drowned out and the network
     # defaults to "valid" on unseen sequences.
     balance_classes: bool = True
-    # Independent training restarts; the run with the lowest training
-    # error (ties: largest worst-case margin) wins. Memorising a small
+    # Independent training restarts; the first whose fit clears
+    # accept_margin wins, otherwise the one with the lowest training
+    # error (ties: largest worst-case margin). Memorising a small
     # pattern set with a tiny MLP is sensitive to the weight init, and
-    # restarts are the standard cure.
+    # restarts are the standard cure. All restarts train in lockstep, so
+    # those after the accepted one also run and are discarded.
     restarts: int = 5
     # Offline training is full-batch gradient descent with momentum:
     # deterministic and orders of magnitude faster in numpy than the
@@ -72,8 +81,10 @@ def train_network(positives, negatives, n_hidden, config=None, seed=None,
                   max_inputs=10):
     """Train an ``i-h-1`` network on encoded example vectors.
 
-    Runs ``config.restarts`` independent trainings and keeps the best
-    (lowest training error, then largest worst-case margin).
+    Trains ``config.restarts`` independently initialised restarts in
+    lockstep and keeps the first whose fit is accepted (zero training
+    error and worst margin above ``config.accept_margin``), otherwise
+    the best (lowest training error, then largest worst-case margin).
 
     Args:
         positives: 2-D array of valid-sequence encodings.
@@ -88,12 +99,30 @@ def train_network(positives, negatives, n_hidden, config=None, seed=None,
     cfg = config or TrainConfig()
     if seed is None:
         seed = cfg.seed
+    positives, negatives, xs, targets, labels = _training_set(
+        positives, negatives, cfg)
+    nets = [OneHiddenLayerNet(positives.shape[1], n_hidden,
+                              seed=seed + 7919 * r, max_inputs=max_inputs)
+            for r in range(max(1, cfg.restarts))]
+    epochs, errors, history = _fit_lockstep(nets, xs, targets, labels, cfg)
+
+    # Select, and replay the per-restart telemetry, in restart order:
+    # exactly what training the restarts one after another recorded.
     best = None
     best_key = None
     tele = telemetry.get_registry()
-    for r in range(max(1, cfg.restarts)):
-        result = _train_once(positives, negatives, n_hidden, cfg,
-                             seed + 7919 * r, max_inputs)
+    for r, net in enumerate(nets):
+        outputs = net.predict_batch(xs)
+        margins = np.where(labels, outputs - 0.5, 0.5 - outputs)
+        result = TrainResult(net=net, epochs=epochs[r],
+                             train_error=errors[r],
+                             n_positives=len(positives),
+                             n_negatives=len(negatives),
+                             history=history[:epochs[r], r].tolist(),
+                             worst_margin=float(margins.min()))
+        if tele.enabled:
+            for err_rate in result.history:
+                tele.observe("nn.epoch_loss", err_rate)
         key = (result.train_error, -result.worst_margin)
         if best_key is None or key < best_key:
             best, best_key = result, key
@@ -109,14 +138,14 @@ def train_network(positives, negatives, n_hidden, config=None, seed=None,
     return best
 
 
-def _train_once(positives, negatives, n_hidden, cfg, seed, max_inputs):
+def _training_set(positives, negatives, cfg):
+    """Arrays one training run fits: ``(positives, negatives, xs,
+    targets, labels)``, with the minority class replicated into ``xs``
+    when ``cfg.balance_classes`` asks for it."""
     positives = np.atleast_2d(np.asarray(positives, dtype=float))
     if negatives is None or len(negatives) == 0:
         negatives = np.empty((0, positives.shape[1]))
     negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
-
-    n_inputs = positives.shape[1]
-    net = OneHiddenLayerNet(n_inputs, n_hidden, seed=seed, max_inputs=max_inputs)
 
     train_pos, train_neg = positives, negatives
     if cfg.balance_classes and len(negatives) and len(positives):
@@ -132,13 +161,7 @@ def _train_once(positives, negatives, n_hidden, cfg, seed, max_inputs):
         np.full(len(train_neg), cfg.negative_target),
     ])
     labels = targets >= 0.5
-
-    epoch, err_rate, history = _fit_batch(net, xs, targets, labels, cfg)
-    outputs = net.predict_batch(xs)
-    margins = np.where(labels, outputs - 0.5, 0.5 - outputs)
-    return TrainResult(net=net, epochs=epoch, train_error=err_rate,
-                       n_positives=len(positives), n_negatives=len(negatives),
-                       history=history, worst_margin=float(margins.min()))
+    return positives, negatives, xs, targets, labels
 
 
 def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
@@ -185,55 +208,86 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
         whb += lr * err_h
 
 
-def _fit_batch(net, xs, targets, labels, cfg):
-    """Full-batch gradient descent with momentum, fully vectorised.
+def _fit_lockstep(nets, xs, targets, labels, cfg):
+    """Full-batch gradient descent with momentum for all restarts at once.
+
+    The restarts' weights and momenta are stacked into ``(R, h, i+1)``
+    and ``(R, h+1)`` tensors, and each epoch is one batched ``@`` pass
+    over the stack. Every stacked slice makes the same BLAS call a lone
+    restart would (``matmul`` loops over the leading axis) and every
+    reduction runs along the same axis, so each restart's weights and
+    errors are bit-identical to training it alone. A restart stops on
+    its own: ``patience_after_fit`` epochs after its training error
+    first reaches ``target_error``, it keeps that epoch's weights and
+    leaves the stack, so it gets no further update.
 
     Uses true sigmoids (not the quantised table) for the forward pass
     during training; the resulting weights are loaded into the
-    table-based network, whose predictions the selection margin is
+    table-based networks, whose predictions the selection margin is
     computed against -- so any quantisation mismatch shows up in the
     restart criterion, not silently at deployment.
+
+    Returns:
+        ``(epochs, errors, history)``: per restart the epochs run and
+        the last epoch's training error, plus a ``(max_epochs, R)``
+        array whose column ``r`` holds restart ``r``'s per-epoch error
+        in its first ``epochs[r]`` rows. The final weights are written
+        into ``nets``.
     """
     n = len(xs)
-    w_h = net.w_hidden
-    w_o = net.w_out
+    n_restarts = len(nets)
+    w_h = np.stack([net.w_hidden for net in nets])
+    w_o = np.stack([net.w_out for net in nets])
     v_h = np.zeros_like(w_h)
     v_o = np.zeros_like(w_o)
     lr = cfg.batch_learning_rate
-    history = []
-    err_rate = 1.0
-    epoch = 0
-    fit_epoch = None
-    tele = telemetry.get_registry()
+    history = np.empty((cfg.max_epochs, n_restarts))
+    epochs = [0] * n_restarts
+    errors = [1.0] * n_restarts
+    live = list(range(n_restarts))  # restart index of each stack row
+    fit_epoch = [None] * n_restarts
     for epoch in range(1, cfg.max_epochs + 1):
-        h_in = xs @ w_h[:, :-1].T + w_h[:, -1]
+        h_in = xs @ w_h[:, :, :-1].transpose(0, 2, 1) + w_h[:, None, :, -1]
         h = 1.0 / (1.0 + np.exp(-h_in))
-        o_in = h @ w_o[:-1] + w_o[-1]
+        o_in = (h @ w_o[:, :-1, None])[:, :, 0] + w_o[:, -1:]
         o = 1.0 / (1.0 + np.exp(-o_in))
 
-        err_rate = float(np.mean((o >= 0.5) != labels))
-        history.append(err_rate)
-        if tele.enabled:
-            tele.observe("nn.epoch_loss", err_rate)
-        if err_rate <= cfg.target_error:
-            if fit_epoch is None:
-                fit_epoch = epoch
-            if epoch - fit_epoch >= cfg.patience_after_fit:
+        err = np.mean((o >= 0.5) != labels, axis=1)
+        history[epoch - 1, live] = err
+        keep = []
+        for row, (r, err_rate) in enumerate(zip(live, err.tolist())):
+            epochs[r], errors[r] = epoch, err_rate
+            if err_rate <= cfg.target_error:
+                if fit_epoch[r] is None:
+                    fit_epoch[r] = epoch
+                if epoch - fit_epoch[r] >= cfg.patience_after_fit:
+                    nets[r].w_hidden = w_h[row].copy()
+                    nets[r].w_out = w_o[row].copy()
+                    continue
+            else:
+                fit_epoch[r] = None
+            keep.append(row)
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            if not live:
                 break
-        else:
-            fit_epoch = None
+            w_h, w_o, v_h, v_o, h, o = (
+                a[keep] for a in (w_h, w_o, v_h, v_o, h, o))
 
-        d_o = o * (1.0 - o) * (targets - o)            # (n,)
-        d_h = h * (1.0 - h) * np.outer(d_o, w_o[:-1])  # (n, hidden)
-        g_o = np.concatenate([d_o @ h, [d_o.sum()]]) / n
-        g_h = np.hstack([d_h.T @ xs, d_h.sum(axis=0)[:, None]]) / n
+        d_o = o * (1.0 - o) * (targets - o)  # (R, n)
+        d_h = h * (1.0 - h) * (d_o[:, :, None] * w_o[:, None, :-1])
+        g_o = np.concatenate([(d_o[:, None, :] @ h)[:, 0, :],
+                              d_o.sum(axis=1, keepdims=True)], axis=1) / n
+        g_h = np.concatenate([d_h.transpose(0, 2, 1) @ xs,
+                              d_h.sum(axis=1)[:, :, None]], axis=2) / n
         v_o = cfg.momentum * v_o + lr * g_o
         v_h = cfg.momentum * v_h + lr * g_h
         w_o += v_o
         w_h += v_h
-    net.w_hidden = w_h
-    net.w_out = w_o
-    return epoch, err_rate, history
+    for row, r in enumerate(live):
+        nets[r].w_hidden = w_h[row].copy()
+        nets[r].w_out = w_o[row].copy()
+    return epochs, errors, history
 
 
 @dataclass

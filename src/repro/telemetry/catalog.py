@@ -165,13 +165,15 @@ CATALOG = (
     MetricSpec("nn.networks_trained", COUNTER, "nn.trainer",
                "networks trained (restart winners)"),
     MetricSpec("nn.train_restarts", COUNTER, "nn.trainer",
-               "extra restart trainings beyond each first attempt"),
+               "restarts after the first that were not accepted (the "
+               "restart whose acceptance ends the loop is not counted)"),
     MetricSpec("nn.train_epochs", COUNTER, "nn.trainer",
                "epochs run by winning trainings"),
     MetricSpec("nn.train_error", HISTOGRAM, "nn.trainer",
                "final training error per trained network"),
     MetricSpec("nn.epoch_loss", HISTOGRAM, "nn.trainer",
-               "per-epoch training misclassification rate"),
+               "per-epoch training misclassification rate of each "
+               "restart up to the accepted one"),
     MetricSpec("nn.topologies_evaluated", COUNTER, "nn.trainer",
                "topology-search grid points trained and scored"),
     MetricSpec("nn.topology_mispred_rate", HISTOGRAM, "nn.trainer",
