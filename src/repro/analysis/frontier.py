@@ -44,9 +44,10 @@ from repro.common.texttable import render_table
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
-from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
+from repro.core.diagnosis import build_correct_set
+from repro.core.offline import OfflineTrainer
 from repro.core.policy import NULL_POLICY, PolicySpec
-from repro.core.postprocess import CorrectSet, postprocess
+from repro.core.postprocess import postprocess
 from repro.parallel import run_tasks
 from repro.sim.machine import simulate_run
 from repro.analysis.accuracy import _group_metrics, corpus_programs
@@ -154,13 +155,8 @@ def _measure_item(payload):
         program, n_runs=spec.n_train_runs, seed0=0, buggy=False)
     failure_run = run_program(program, seed=spec.failure_seed, buggy=True)
     truth = failure_run.meta.get("root_cause") or set()
-    correct_set = CorrectSet(spec.config.seq_len,
-                             filter_stack=spec.config.filter_stack_loads)
-    for run in collect_runs_for_seeds(
-            program, list(range(100, 100 + spec.n_pruning_runs)),
-            buggy=False):
-        if run is not None:
-            correct_set.add_run(run)
+    correct_set = build_correct_set(program, spec.config,
+                                    spec.n_pruning_runs, buggy=False)
 
     by_rate = {}
     overhead = {}

@@ -214,7 +214,8 @@ def _cmd_status(args):
               + (f", {pruned} pruned" if pruned else ""))
         print(f"warm cache: {warm['size']}/{warm['capacity']} entries, "
               f"{warm['hits']} hits, {warm['misses']} misses, "
-              f"{warm['evictions']} evictions")
+              f"{warm['evictions']} evictions, "
+              f"{warm['correct_set_hits']} Correct Set reuses")
         scheduler = reply.get("scheduler") or {}
         if scheduler.get("errors") or not scheduler.get("alive", True):
             state = "alive" if scheduler.get("alive") else "DEAD"
@@ -573,9 +574,9 @@ def build_parser():
                     help="default worker processes for jobs that do not "
                          "set their own (results identical to serial; "
                          "0 = all CPUs)")
-    sv.add_argument("--warm-capacity", type=int, default=8, metavar="N",
-                    help="LRU capacity of the warm trained-state cache "
-                         "(default 8)")
+    sv.add_argument("--warm-capacity", type=int, default=16, metavar="N",
+                    help="LRU capacity of the warm-state cache, in "
+                         "workloads (default 16)")
     sv.add_argument("--history", type=int,
                     default=DEFAULT_HISTORY_LIMIT, metavar="N",
                     help="finished jobs retained (oldest pruned beyond "

@@ -4,7 +4,8 @@
 2. Execute the failure run, replaying its dependences through per-core
    ACT Modules in online testing/training mode.
 3. After the failure, collect the Debug Buffers, build a Correct Set
-   from ~20 fresh correct runs, prune and rank.
+   from ~20 fresh correct runs (or reuse a provided one), prune and
+   rank.
 4. Report where the ground-truth root-cause dependence landed.
 
 Resilience hooks (all inert by default, zero-fault runs are
@@ -43,6 +44,10 @@ from repro.workloads.framework import run_program
 #: that key caches on trained state (e.g. the serve daemon's warm-state
 #: cache) so the cache key can never drift from the actual default.
 DEFAULT_TRAIN_SEED0 = 0
+
+#: First seed of the contiguous pruning-run range that builds the
+#: Correct Set (kept apart from the training seeds).
+DEFAULT_PRUNING_SEED0 = 100
 
 
 @dataclass
@@ -165,15 +170,35 @@ def _aborted_report(program, error, quarantine):
     return report
 
 
+def build_correct_set(program, config, n_runs,
+                      seed0=DEFAULT_PRUNING_SEED0, jobs=None,
+                      quarantine=None, **params):
+    """The Correct Set of ``n_runs`` fresh correct runs from ``seed0``.
+
+    It depends on the program, the seeds, ``params`` and the config's
+    sequence shape -- never on a failure -- so a caller may build it
+    once and reuse it across diagnoses of the same program.
+    """
+    correct_set = CorrectSet(config.seq_len,
+                             filter_stack=config.filter_stack_loads)
+    for run in collect_runs_for_seeds(program,
+                                      range(seed0, seed0 + n_runs),
+                                      jobs=jobs, quarantine=quarantine,
+                                      **params):
+        correct_set.add_run(run)
+    return correct_set
+
+
 def diagnose_failure(program, config=None, trained=None,
                      n_train_runs=10, train_seed0=DEFAULT_TRAIN_SEED0,
                      failure_seed=12345,
-                     n_pruning_runs=20, pruning_seed0=100,
+                     n_pruning_runs=20, pruning_seed0=DEFAULT_PRUNING_SEED0,
                      failure_params=None, correct_params=None,
                      pruning_params=None, root_cause=None, jobs=None,
                      faults=None, quarantine=None, checkpoint=None,
                      trained_sink=None, engine=None, engine_state=None,
-                     engine_state_sink=None, policy=None):
+                     engine_state_sink=None, policy=None, correct_set=None,
+                     correct_set_sink=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
 
     Args:
@@ -227,6 +252,14 @@ def diagnose_failure(program, config=None, trained=None,
             an enabled policy with a non-``"nn"`` engine raises
             :class:`ConfigError`. Training and pruning runs are never
             sampled -- only the production deployment is.
+        correct_set: reuse a :class:`CorrectSet` built by
+            :func:`build_correct_set` for the same program, pruning
+            seeds, ``pruning_params`` and config (skips the pruning
+            runs). Ranking only reads it, so one set can serve many
+            diagnoses. Direct NN path only (``engine=None``).
+        correct_set_sink: optional callable invoked with the Correct
+            Set once it is in hand, the pruning-phase analogue of
+            ``trained_sink``; it never changes the report.
 
     Returns:
         :class:`DiagnosisReport`.
@@ -236,6 +269,10 @@ def diagnose_failure(program, config=None, trained=None,
         raise ConfigError(
             f"adaptive policy is NN-path-only; engine {engine!r} does "
             "not support --policy")
+    if engine is not None and (correct_set is not None
+                               or correct_set_sink is not None):
+        raise ConfigError("a prebuilt Correct Set needs the direct NN "
+                          "path (engine=None)")
     if engine is not None:
         from repro.engines.registry import create
 
@@ -270,14 +307,16 @@ def diagnose_failure(program, config=None, trained=None,
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
                 correct_params, pruning_params, root_cause, jobs,
-                quarantine, checkpoint, trained_sink)
+                quarantine, checkpoint, trained_sink, correct_set,
+                correct_set_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
                      pruning_params, root_cause, jobs=None,
-                     quarantine=None, checkpoint=None, trained_sink=None):
+                     quarantine=None, checkpoint=None, trained_sink=None,
+                     correct_set=None, correct_set_sink=None):
     if checkpoint is not None:
         cached = checkpoint.get("report")
         if cached is not None:
@@ -361,21 +400,18 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
                 "retry with a larger debug_buffer (the MySQL#1 case)")
 
     # --- Offline post-processing --------------------------------------
-    with tele.span("diagnose.pruning_runs", n_runs=n_pruning_runs):
-        correct_set = CorrectSet(config.seq_len,
-                                 filter_stack=config.filter_stack_loads)
-        seeds = list(range(pruning_seed0, pruning_seed0 + n_pruning_runs))
-        if checkpoint is None:
-            pruning_runs = collect_runs_for_seeds(program, seeds, jobs=jobs,
-                                                  quarantine=quarantine,
-                                                  **pruning_params)
-            for run in pruning_runs:
-                if run is not None:
-                    correct_set.add_run(run)
-        else:
-            _pruning_with_checkpoint(program, config, seeds, jobs,
-                                     quarantine, checkpoint, pruning_params,
-                                     correct_set)
+    if correct_set is None:
+        with tele.span("diagnose.pruning_runs", n_runs=n_pruning_runs):
+            if checkpoint is None:
+                correct_set = build_correct_set(
+                    program, config, n_pruning_runs, pruning_seed0,
+                    jobs=jobs, quarantine=quarantine, **pruning_params)
+            else:
+                correct_set = _pruning_with_checkpoint(
+                    program, config, n_pruning_runs, pruning_seed0, jobs,
+                    quarantine, checkpoint, pruning_params)
+    if correct_set_sink is not None:
+        correct_set_sink(correct_set)
 
     with tele.span("diagnose.ranking"):
         entries = deployment.debug_entries()
@@ -397,9 +433,9 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     return report
 
 
-def _pruning_with_checkpoint(program, config, seeds, jobs, quarantine,
-                             checkpoint, pruning_params, correct_set):
-    """Collect pruning runs with per-seed checkpoint snapshots.
+def _pruning_with_checkpoint(program, config, n_runs, seed0, jobs,
+                             quarantine, checkpoint, pruning_params):
+    """The Correct Set, with per-seed checkpoint snapshots of its runs.
 
     Each finished run's dependence sequences are persisted under the
     ``pruning:<seed>`` phase; a resumed diagnosis replays the cached
@@ -407,6 +443,7 @@ def _pruning_with_checkpoint(program, config, seeds, jobs, quarantine,
     saves after every seed (a crash loses at most one run); parallel
     collection saves the whole batch once.
     """
+    seeds = range(seed0, seed0 + n_runs)
     seq_by_seed = {}
     pending = []
     for seed in seeds:
@@ -415,35 +452,36 @@ def _pruning_with_checkpoint(program, config, seeds, jobs, quarantine,
             seq_by_seed[seed] = sequences_from_payload(cached["sequences"])
         else:
             pending.append(seed)
+    # Collection drops quarantined runs, so each kept run is filed under
+    # its own seed, never by position.
     if pending and resolve_jobs(jobs) <= 1:
         for seed in pending:
-            run = collect_runs_for_seeds(program, [seed],
-                                         quarantine=quarantine,
-                                         **pruning_params)[0]
-            if run is None:
-                continue
-            seqs = run_sequences(run, config.seq_len,
-                                 filter_stack=config.filter_stack_loads)
-            seq_by_seed[seed] = seqs
-            checkpoint.put(f"pruning:{seed}",
-                           {"sequences": sequences_to_payload(seqs)})
+            for run in collect_runs_for_seeds(program, [seed],
+                                              quarantine=quarantine,
+                                              **pruning_params):
+                seqs = run_sequences(run, config.seq_len,
+                                     filter_stack=config.filter_stack_loads)
+                seq_by_seed[run.seed] = seqs
+                checkpoint.put(f"pruning:{run.seed}",
+                               {"sequences": sequences_to_payload(seqs)})
     elif pending:
         runs = collect_runs_for_seeds(program, pending, jobs=jobs,
                                       quarantine=quarantine,
                                       **pruning_params)
-        for seed, run in zip(pending, runs):
-            if run is None:
-                continue
+        for run in runs:
             seqs = run_sequences(run, config.seq_len,
                                  filter_stack=config.filter_stack_loads)
-            seq_by_seed[seed] = seqs
-            checkpoint.put(f"pruning:{seed}",
+            seq_by_seed[run.seed] = seqs
+            checkpoint.put(f"pruning:{run.seed}",
                            {"sequences": sequences_to_payload(seqs)},
                            save=False)
         checkpoint.save()
+    correct_set = CorrectSet(config.seq_len,
+                             filter_stack=config.filter_stack_loads)
     for seed in seeds:
         if seed in seq_by_seed:
             correct_set.add_sequences(seq_by_seed[seed])
+    return correct_set
 
 
 def diagnose_with_buffer_escalation(program, config=None, max_buffer=960,

@@ -15,13 +15,15 @@ Requests are JSON round-trippable (:func:`request_to_payload` /
 :func:`request_from_payload`) so they cross the socket and persist in
 the jobstore unchanged.
 
-:class:`WarmStateCache` is the daemon's LRU of trained state:
+:class:`WarmStateCache` is the daemon's LRU of warm state:
 :func:`run_diagnose` consults it keyed by (workload, training seeds,
-config fingerprint) and passes the cached :class:`TrainedACT` into
-:func:`~repro.core.diagnosis.diagnose_failure`, skipping offline
-retraining on a repeat diagnosis. Training is deterministic in the key,
-so a warm hit changes wall time and telemetry (``serve.warm_hits``, no
-``diagnose.offline_train`` span) but never the report.
+config fingerprint) and passes the cached :class:`TrainedACT` and
+pruning-run Correct Set into
+:func:`~repro.core.diagnosis.diagnose_failure`, so a repeat diagnosis
+runs only the failure run, deploy and ranking. Both are deterministic
+in the key and independent of the failure, so a warm hit changes wall
+time and telemetry (``serve.warm_hits``, no ``diagnose.offline_train``
+or ``diagnose.pruning_runs`` span) but never the report.
 """
 
 import os
@@ -195,16 +197,19 @@ def run_diagnose(req, warm=None):
     if plan is not None or req.quarantine_report:
         quarantine = Quarantine()
 
-    # Warm-state reuse: only when nothing perturbs training (a fault
-    # plan can damage training runs; a checkpoint already carries its
-    # own trained snapshot). An active --policy does NOT block reuse:
-    # sampling gates the failure-run deployment only, never training,
-    # so the cached trained state stays exactly right. The key holds
-    # everything that shapes the trained state -- failure/pruning seeds
-    # deliberately excluded -- plus the engine fingerprint, so two
-    # engines on the same workload never share an entry.
+    # Warm-state reuse: only when nothing perturbs training or pruning
+    # runs (a fault plan can damage them; a checkpoint already carries
+    # its own snapshots). An active --policy does NOT block reuse:
+    # sampling gates the failure-run deployment only, so the cached
+    # state stays exactly right. The key holds everything that shapes
+    # the trained state -- the failure seed deliberately excluded --
+    # plus the engine fingerprint, so two engines on the same workload
+    # never share an entry. The NN entry also keeps one Correct Set
+    # per pruning-run count (pruning seeds and params are fixed here).
     trained = None
     trained_sink = None
+    correct_set = None
+    correct_set_sink = None
     engine_state = None
     engine_state_sink = None
     if warm is not None and plan is None and checkpoint is None:
@@ -216,19 +221,29 @@ def run_diagnose(req, warm=None):
                        config=asdict(config), train_runs=req.train_runs,
                        train_seed0=DEFAULT_TRAIN_SEED0,
                        engine=fingerprint)
-        payload = warm.get(key)
+        entry = warm.get(key)
         if engine == "nn":
-            if payload is not None:
-                trained = TrainedACT.from_payload(payload, config)
+            if entry is not None:
+                trained = TrainedACT.from_payload(entry.state, config)
+                correct_set = warm.correct_set(entry, req.pruning_runs)
             else:
-                def trained_sink(t, _key=key):
-                    warm.put(_key, t.to_payload())
+                entry = WarmEntry()
+
+                def trained_sink(t, _key=key, _entry=entry):
+                    _entry.state = t.to_payload()
+                    warm.put(_key, _entry)
+            if correct_set is None:
+                def correct_set_sink(cs, _entry=entry):
+                    # A set built around a quarantined run would lose
+                    # that run's quarantine record on reuse.
+                    if quarantine is None or not len(quarantine):
+                        _entry.correct_sets[req.pruning_runs] = cs
         else:
-            if payload is not None:
-                engine_state = payload
+            if entry is not None:
+                engine_state = entry.state
             else:
                 def engine_state_sink(state, _key=key):
-                    warm.put(_key, state)
+                    warm.put(_key, WarmEntry(state))
 
     try:
         report = diagnose_failure(program, config=config, trained=trained,
@@ -243,7 +258,8 @@ def run_diagnose(req, warm=None):
                                           else None),
                                   engine_state=engine_state,
                                   engine_state_sink=engine_state_sink,
-                                  policy=policy)
+                                  policy=policy, correct_set=correct_set,
+                                  correct_set_sink=correct_set_sink)
     except CheckpointError as e:
         return _fail(f"error: {e}")
     if report.engine is not None:
@@ -853,22 +869,39 @@ def run_request(req, warm=None, default_jobs=None):
 # warm-state cache
 # ---------------------------------------------------------------------
 
+@dataclass
+class WarmEntry:
+    """One workload's warm state: what a diagnosis computes before its
+    failure run.
+
+    ``state`` is the trained state (:meth:`TrainedACT.to_payload` for
+    the NN engine -- deploy patches a live network's weights, so each
+    hit rebuilds one from the payload -- or a ``Predictor.serialize``
+    payload). ``correct_sets`` maps a pruning-run count to the
+    :class:`~repro.core.postprocess.CorrectSet` those runs built; it is
+    cached as the live object because ranking only reads it.
+    """
+
+    state: Optional[dict] = None
+    correct_sets: dict = field(default_factory=dict)
+
+
 class WarmStateCache:
-    """LRU cache of trained state (:meth:`TrainedACT.to_payload` dicts
-    for the NN engine; ``Predictor.serialize`` payloads for the rest).
+    """LRU cache of per-workload warm state (:class:`WarmEntry`).
 
     Keys are the canonical JSON of everything that shapes training:
     workload name, training seed range, config fingerprint, and the
     engine fingerprint (so e.g. ``nn`` and ``pset`` diagnoses of the
     same workload occupy separate entries). The daemon
     keeps one instance for its whole life, so a repeat diagnosis of the
-    same (workload, seeds, config) skips offline retraining entirely --
-    observable as ``serve.warm_hits`` in the job's telemetry profile
-    and as the absence of a ``diagnose.offline_train`` span, never as a
-    different report (training is deterministic in the key).
+    same (workload, seeds, config) skips offline retraining and, on the
+    NN engine, the pruning runs -- observable as ``serve.warm_hits`` in
+    the job's telemetry profile and as the absence of the
+    ``diagnose.offline_train`` and ``diagnose.pruning_runs`` spans,
+    never as a different report (both are deterministic in the key).
     """
 
-    def __init__(self, capacity=8):
+    def __init__(self, capacity=16):
         if capacity < 1:
             raise ReproError(f"warm cache capacity must be >= 1, "
                              f"got {capacity}")
@@ -877,6 +910,7 @@ class WarmStateCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.correct_set_hits = 0
 
     @staticmethod
     def key(**parts):
@@ -884,7 +918,7 @@ class WarmStateCache:
         return canonical_json(parts)
 
     def get(self, key):
-        """Cached payload for ``key`` (None on miss); counts the lookup."""
+        """Cached entry for ``key`` (None on miss); counts the lookup."""
         tele = telemetry.get_registry()
         entry = self._entries.get(key)
         if entry is None:
@@ -896,10 +930,18 @@ class WarmStateCache:
         tele.inc("serve.warm_hits")
         return entry
 
-    def put(self, key, payload):
+    def correct_set(self, entry, n_runs):
+        """``entry``'s Correct Set of ``n_runs`` pruning runs (None if
+        not built yet); counts a reuse."""
+        correct_set = entry.correct_sets.get(n_runs)
+        if correct_set is not None:
+            self.correct_set_hits += 1
+        return correct_set
+
+    def put(self, key, entry):
         """Insert/refresh ``key``; evicts least-recently-used beyond
         capacity."""
-        self._entries[key] = payload
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -916,4 +958,5 @@ class WarmStateCache:
         """JSON-safe cache statistics (part of the daemon status)."""
         return {"size": len(self._entries), "capacity": self.capacity,
                 "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+                "evictions": self.evictions,
+                "correct_set_hits": self.correct_set_hits}

@@ -13,8 +13,9 @@ One process, three moving parts:
   sequential jobs over a parallel pool keeps results deterministic
   (byte-identical to a cold CLI run) while still using every core.
 - the **warm-state cache** (:class:`~repro.service.ops.WarmStateCache`)
-  holds trained networks/encoders keyed by (workload, seeds, config),
-  so a repeat diagnosis skips offline retraining.
+  holds trained networks/encoders and, for the NN engine, pruning-run
+  Correct Sets keyed by (workload, seeds, config), so a repeat
+  diagnosis skips offline retraining and the pruning runs.
 
 Each job runs under its own fresh telemetry
 :class:`~repro.telemetry.Registry`; the exported run profile is stored
@@ -66,7 +67,7 @@ class Server:
     """The diagnosis service daemon. ``run()`` blocks until shutdown."""
 
     def __init__(self, socket_path, state_path=None, jobs=None,
-                 warm_capacity=8, tick_clock=False,
+                 warm_capacity=16, tick_clock=False,
                  history_limit=DEFAULT_HISTORY_LIMIT):
         self.socket_path = socket_path
         self.jobs = jobs

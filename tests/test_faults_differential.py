@@ -16,6 +16,8 @@ Plus Hypothesis-generated random fault plans asserting that no injected
 fault ever escapes the quarantine boundary.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -187,6 +189,26 @@ class TestKilledWorkerSpanStitching:
 
 class TestCrashResume:
     KWARGS = dict(n_train_runs=3, n_pruning_runs=4)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_quarantined_pruning_run_checkpoints_by_seed(self, jobs,
+                                                         tmp_path):
+        # A quarantined pruning seed in the middle of the range: the
+        # checkpointed diagnosis must equal the plain one and file every
+        # kept run under its own seed.
+        program = get_bug("gzip")
+        plan = FaultPlan(seed=0, corrupt_run_seeds=(101,))
+        plain = diagnose_failure(program, faults=plan,
+                                 quarantine=Quarantine(), jobs=jobs,
+                                 **self.KWARGS)
+        path = tmp_path / "ck.json"
+        checkpointed = diagnose_failure(program, faults=plan,
+                                        quarantine=Quarantine(), jobs=jobs,
+                                        checkpoint=str(path), **self.KWARGS)
+        assert checkpointed == plain
+        phases = json.loads(path.read_text())["phases"]
+        assert sorted(p for p in phases if p.startswith("pruning:")) == [
+            "pruning:100", "pruning:102", "pruning:103"]
 
     def test_killed_diagnosis_resumes_to_identical_report(self, tmp_path):
         program = get_bug("gzip")

@@ -24,10 +24,11 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.common.errors import (
     JobNotFound,
     ProtocolError,
@@ -44,6 +45,7 @@ from repro.service.jobstore import (
     JobStore,
 )
 from repro.service.server import Server
+from repro.workloads.registry import all_bug_names
 
 FAST = ["--train-runs", "4", "--pruning-runs", "6"]
 FAST_KW = {"train_runs": 4, "pruning_runs": 6}
@@ -321,7 +323,8 @@ class TestWarmStateCache:
         assert cache.get("a") == {"v": 1}
         assert cache.get("c") == {"v": 3}
         assert cache.stats() == {"size": 2, "capacity": 2, "hits": 3,
-                                 "misses": 1, "evictions": 1}
+                                 "misses": 1, "evictions": 1,
+                                 "correct_set_hits": 0}
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ReproError):
@@ -394,6 +397,176 @@ class TestWarmStateCache:
         fp_b = ops.WarmStateCache.key(
             engine=engine_registry.create("ensemble:pbi+pset").fingerprint())
         assert fp_a != fp_b
+
+
+@pytest.fixture
+def pruning_calls(monkeypatch):
+    """Counts pruning-run collections (the Correct Set's runs).
+
+    Training collects through ``repro.core.offline``'s own binding, so
+    only the pruning phase goes through this one.
+    """
+    from repro.core import diagnosis
+
+    calls = []
+    original = diagnosis.collect_runs_for_seeds
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnosis, "collect_runs_for_seeds", counting)
+    return calls
+
+
+def _cli_argv(req):
+    argv = ["diagnose", req.bug, "--seed", str(req.seed),
+            "--train-runs", str(req.train_runs),
+            "--pruning-runs", str(req.pruning_runs)]
+    if req.quarantine_report:
+        argv += ["--quarantine-report", req.quarantine_report]
+    return argv
+
+
+def _as_cli(outcome):
+    return _outcome_text({"rc": outcome.rc, "out": outcome.out,
+                          "err": outcome.err})
+
+
+def _nn_entry(cache, req):
+    (entry,) = [e for key, e in cache._entries.items()
+                if json.loads(key)["workload"] == req.bug]
+    return entry
+
+
+class TestWarmCorrectSet:
+    """The warm entry also holds the pruning-run Correct Set, so a warm
+    hit runs only the failure run, deploy and ranking -- and still
+    prints exactly what the cold CLI prints."""
+
+    def test_new_failure_seed_runs_no_pruning_runs(self, capsys,
+                                                    pruning_calls):
+        first = ops.DiagnoseRequest(bug="gzip", seed=11, **FAST_KW)
+        second = replace(first, seed=12)
+        cold = _cold(capsys, _cli_argv(second))
+        cache = ops.WarmStateCache()
+        ops.run_diagnose(first, warm=cache)
+        del pruning_calls[:]
+        warm = ops.run_diagnose(second, warm=cache)
+        assert pruning_calls == []
+        assert _as_cli(warm) == cold
+        assert cache.stats()["correct_set_hits"] == 1
+
+    @pytest.mark.slow
+    def test_warm_equals_cold_on_every_table5_bug(self):
+        cache = ops.WarmStateCache(capacity=11)
+        requests = [ops.DiagnoseRequest(bug=bug, seed=seed)
+                    for bug in all_bug_names() for seed in (1, 2)]
+        assert len(requests) == 22
+        cold = {}
+        for _ in range(2):
+            for req in requests:
+                warm = ops.run_diagnose(req, warm=cache)
+                if req not in cold:
+                    cold[req] = _as_cli(ops.run_diagnose(req))
+                assert _as_cli(warm) == cold[req], req
+        # One fill per bug; every other request reused both parts.
+        assert cache.misses == 11 and cache.evictions == 0
+        assert cache.correct_set_hits == 2 * 22 - 11
+
+    def test_other_pruning_run_count_builds_its_own_set(self, capsys,
+                                                        pruning_calls):
+        req = ops.DiagnoseRequest(bug="gzip", **FAST_KW)
+        other = replace(req, pruning_runs=4)
+        cold = _cold(capsys, _cli_argv(other))
+        cache = ops.WarmStateCache()
+        ops.run_diagnose(req, warm=cache)
+        del pruning_calls[:]
+        warm = ops.run_diagnose(other, warm=cache)
+        assert pruning_calls == [range(100, 104)]
+        assert _as_cli(warm) == cold
+        assert cache.hits == 1 and cache.correct_set_hits == 0
+        assert sorted(_nn_entry(cache, req).correct_sets) == [4, 6]
+        assert _as_cli(ops.run_diagnose(other, warm=cache)) == cold
+        assert cache.correct_set_hits == 1
+
+    def test_faults_and_checkpoints_bypass_reuse(self, tmp_path,
+                                                 pruning_calls):
+        req = ops.DiagnoseRequest(bug="gzip", **FAST_KW)
+        cache = ops.WarmStateCache()
+        ops.run_diagnose(req, warm=cache)
+        before = cache.stats()
+        del pruning_calls[:]
+        faulted = replace(req, faults="seed=3")
+        assert _as_cli(ops.run_diagnose(faulted, warm=cache)) == _as_cli(
+            ops.run_diagnose(faulted))
+        ckpt = replace(req, checkpoint=str(tmp_path / "warm.ckpt"))
+        warm_ckpt = ops.run_diagnose(ckpt, warm=cache)
+        cold_ckpt = ops.run_diagnose(
+            replace(req, checkpoint=str(tmp_path / "cold.ckpt")))
+        assert (warm_ckpt.rc, warm_ckpt.out) == (cold_ckpt.rc, cold_ckpt.out)
+        # Each of the four diagnoses built its own Correct Set; the
+        # cache was not even consulted.
+        assert len(pruning_calls) >= 4
+        assert cache.stats() == before
+
+    def test_quarantine_report_request_matches_cold(self, capsys, tmp_path):
+        path = str(tmp_path / "q.json")
+        req = ops.DiagnoseRequest(bug="gzip", quarantine_report=path,
+                                  **FAST_KW)
+        cold = _cold(capsys, _cli_argv(req))
+        cold_report = pathlib.Path(path).read_bytes()
+        cache = ops.WarmStateCache()
+        for _ in range(2):
+            assert _as_cli(ops.run_diagnose(req, warm=cache)) == cold
+            assert pathlib.Path(path).read_bytes() == cold_report
+        assert cache.correct_set_hits == 1
+
+    def test_cached_correct_set_is_only_read(self):
+        from repro.core.config import ACTConfig
+        from repro.core.diagnosis import build_correct_set
+        from repro.workloads.registry import get_bug
+
+        req = ops.DiagnoseRequest(bug="gzip", **FAST_KW)
+        cache = ops.WarmStateCache()
+        for seed in (1, 2, 3):
+            ops.run_diagnose(replace(req, seed=seed), warm=cache)
+        assert cache.correct_set_hits == 2
+        cached = _nn_entry(cache, req).correct_sets[6]
+        fresh = build_correct_set(get_bug("gzip"),
+                                  ACTConfig(seq_len=req.seq_len), 6,
+                                  buggy=False)
+        assert cached.n_sequences == fresh.n_sequences
+        assert cached._trie == fresh._trie
+
+    def test_round_robin_over_table5_never_misses_after_fill(self):
+        cache = ops.WarmStateCache(capacity=11)
+        bugs = all_bug_names()
+        for bug in bugs:
+            ops.run_diagnose(ops.DiagnoseRequest(bug=bug, **FAST_KW),
+                             warm=cache)
+        assert cache.misses == 11
+        for seed in (1, 2):
+            for bug in bugs:
+                ops.run_diagnose(
+                    ops.DiagnoseRequest(bug=bug, seed=seed, **FAST_KW),
+                    warm=cache)
+        assert cache.misses == 11 and cache.evictions == 0
+        assert cache.hits == cache.correct_set_hits == 22
+
+    def test_default_capacity_holds_table5(self):
+        assert ops.WarmStateCache().capacity >= len(all_bug_names())
+        args = build_parser().parse_args(["serve", "--socket", "s"])
+        assert args.warm_capacity == ops.WarmStateCache().capacity
+
+    def test_engine_path_rejects_a_prebuilt_set(self):
+        from repro.core.diagnosis import diagnose_failure
+        from repro.common.errors import ConfigError
+        from repro.workloads.registry import get_bug
+
+        with pytest.raises(ConfigError):
+            diagnose_failure(get_bug("gzip"), engine="pset",
+                             correct_set_sink=lambda cs: None)
 
 
 # ---------------------------------------------------------------------
@@ -544,8 +717,12 @@ class TestDaemonRoundTrip:
         assert (c2["serve.warm_hits"], c2["serve.warm_misses"]) == (1, 0)
         assert "diagnose.offline_train" in _span_names(s1["profile"])
         assert "diagnose.offline_train" not in _span_names(s2["profile"])
+        # The Correct Set came from the cache too: no pruning phase.
+        assert "diagnose.pruning_runs" in _span_names(s1["profile"])
+        assert "diagnose.pruning_runs" not in _span_names(s2["profile"])
         warm = daemon_status["warm"]
         assert warm["hits"] == 1 and warm["misses"] == 1
+        assert warm["correct_set_hits"] == 1
 
     def test_submit_engine_matches_cold_cli(self, capsys):
         cold = _cold(capsys,
