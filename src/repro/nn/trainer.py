@@ -208,6 +208,51 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
         whb += lr * err_h
 
 
+def _hidden_layer(xs, n_hidden):
+    """The hidden layer's forward and gradient products for one fit.
+
+    Returns ``(hidden_in, hidden_grad)``: ``hidden_in(w_h)`` is the
+    ``(R, n, h)`` pre-activation ``xs @ W.T + b`` of every stacked
+    restart and ``hidden_grad(d_h)`` the ``(R, h, i+1)`` gradient sum
+    ``[d_h.T @ xs | d_h.sum(rows)]`` (bias gradient last).
+
+    Where numpy multiplies with gemm, the bias rides along as a ones
+    column appended to ``xs``: ``xs1 @ w_h.T`` and ``d_h.T @ xs1`` are
+    plain matmuls, with no broadcast bias add, no strided row sum and
+    no ``concatenate``. The result is bit-identical, because OpenBLAS's
+    gemm accumulates each output over ``k`` in order with fused
+    multiply-adds, and the ones column comes last: ``fma(1, b, acc)``
+    rounds ``acc + b`` exactly as the separate bias add does, and
+    ``fma(d, 1, acc)`` rounds ``acc + d`` exactly as the sequential
+    row sum does. A one-row set or a single hidden unit makes numpy
+    take gemv for a folded product, and with a single input the
+    separate weight gradient ``d_h.T @ xs`` is a gemv; gemv accumulates
+    in another order, so those shapes keep the separate bias terms.
+    ``tests/test_trainer.py::TestFoldedHiddenBias`` checks the
+    assumption per op, so a BLAS that breaks it fails there.
+    """
+    n, n_inputs = xs.shape
+    if min(n, n_hidden, n_inputs) > 1:
+        xs1 = np.hstack([xs, np.ones((n, 1))])
+        return (lambda w_h: xs1 @ w_h.transpose(0, 2, 1),
+                lambda d_h: d_h.transpose(0, 2, 1) @ xs1)
+    return (lambda w_h: (xs @ w_h[:, :, :-1].transpose(0, 2, 1)
+                         + w_h[:, None, :, -1]),
+            lambda d_h: np.concatenate([d_h.transpose(0, 2, 1) @ xs,
+                                        d_h.sum(axis=1)[:, :, None]],
+                                       axis=2))
+
+
+def _sigmoid_inplace(a):
+    """``1 / (1 + exp(-a))`` computed in place, same bits as the
+    expression."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
+    return a
+
+
 def _fit_lockstep(nets, xs, targets, labels, cfg):
     """Full-batch gradient descent with momentum for all restarts at once.
 
@@ -220,6 +265,12 @@ def _fit_lockstep(nets, xs, targets, labels, cfg):
     its own: ``patience_after_fit`` epochs after its training error
     first reaches ``target_error``, it keeps that epoch's weights and
     leaves the stack, so it gets no further update.
+
+    The hidden layer's bias is folded into its matmuls where that is
+    bit-identical (:func:`_hidden_layer`), and the elementwise work runs
+    in place, each element keeping the operation order of the plain
+    expressions ``1 / (1 + exp(-x))``, ``o * (1 - o) * (t - o)``,
+    ``h * (1 - h) * (d_o * w_o)`` and ``m * v + lr * g``.
 
     Uses true sigmoids (not the quantised table) for the forward pass
     during training; the resulting weights are loaded into the
@@ -241,19 +292,23 @@ def _fit_lockstep(nets, xs, targets, labels, cfg):
     v_h = np.zeros_like(w_h)
     v_o = np.zeros_like(w_o)
     lr = cfg.batch_learning_rate
+    momentum = cfg.momentum
+    hidden_in, hidden_grad = _hidden_layer(xs, w_h.shape[1])
     history = np.empty((cfg.max_epochs, n_restarts))
     epochs = [0] * n_restarts
     errors = [1.0] * n_restarts
     live = list(range(n_restarts))  # restart index of each stack row
+    cols = slice(None)  # history columns of the stack rows
     fit_epoch = [None] * n_restarts
     for epoch in range(1, cfg.max_epochs + 1):
-        h_in = xs @ w_h[:, :, :-1].transpose(0, 2, 1) + w_h[:, None, :, -1]
-        h = 1.0 / (1.0 + np.exp(-h_in))
-        o_in = (h @ w_o[:, :-1, None])[:, :, 0] + w_o[:, -1:]
-        o = 1.0 / (1.0 + np.exp(-o_in))
+        h = _sigmoid_inplace(hidden_in(w_h))  # (R, n, h)
+        o = (h @ w_o[:, :-1, None])[:, :, 0]  # (R, n)
+        o += w_o[:, -1:]
+        _sigmoid_inplace(o)
 
-        err = np.mean((o >= 0.5) != labels, axis=1)
-        history[epoch - 1, live] = err
+        # An integer count over n: the same bits as np.mean of the bools.
+        err = ((o >= 0.5) != labels).sum(axis=1) / n
+        history[epoch - 1, cols] = err
         keep = []
         for row, (r, err_rate) in enumerate(zip(live, err.tolist())):
             epochs[r], errors[r] = epoch, err_rate
@@ -271,17 +326,27 @@ def _fit_lockstep(nets, xs, targets, labels, cfg):
             live = [live[row] for row in keep]
             if not live:
                 break
+            cols = live
             w_h, w_o, v_h, v_o, h, o = (
                 a[keep] for a in (w_h, w_o, v_h, v_o, h, o))
 
-        d_o = o * (1.0 - o) * (targets - o)  # (R, n)
-        d_h = h * (1.0 - h) * (d_o[:, :, None] * w_o[:, None, :-1])
+        d_o = np.subtract(1.0, o)
+        d_o *= o
+        d_o *= np.subtract(targets, o, out=o)
         g_o = np.concatenate([(d_o[:, None, :] @ h)[:, 0, :],
-                              d_o.sum(axis=1, keepdims=True)], axis=1) / n
-        g_h = np.concatenate([d_h.transpose(0, 2, 1) @ xs,
-                              d_h.sum(axis=1)[:, :, None]], axis=2) / n
-        v_o = cfg.momentum * v_o + lr * g_o
-        v_h = cfg.momentum * v_h + lr * g_h
+                              d_o.sum(axis=1, keepdims=True)], axis=1)
+        g_o /= n
+        d_h = np.subtract(1.0, h)
+        d_h *= h
+        d_h *= np.multiply(d_o[:, :, None], w_o[:, None, :-1], out=h)
+        g_h = hidden_grad(d_h)
+        g_h /= n
+        v_o *= momentum
+        g_o *= lr
+        v_o += g_o
+        v_h *= momentum
+        g_h *= lr
+        v_h += g_h
         w_o += v_o
         w_h += v_h
     for row, r in enumerate(live):

@@ -9,6 +9,7 @@ from repro.nn.trainer import (
     TrainConfig,
     TrainResult,
     _fit_lockstep,
+    _hidden_layer,
     _sgd_examples,
     _training_set,
     evaluate_misprediction,
@@ -446,3 +447,65 @@ class TestLockstepBugWorkloads:
                           max_inputs=cfg.max_inputs),
             _sequential_train(pos, neg, cfg.n_hidden, train_cfg,
                               max_inputs=cfg.max_inputs))
+
+
+def _blas():
+    """numpy's version and BLAS build, for failure messages."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        name = "unknown BLAS"
+    return f"numpy {np.__version__} with {name}"
+
+
+class TestFoldedHiddenBias:
+    """The hidden bias rides in the training matmuls as a ones column
+    (``_hidden_layer``). That is bit-identical only because gemm
+    accumulates each output over ``k`` in order with fused multiply-adds;
+    these tests pin the assumption per op, and the whole fit on the
+    shapes where numpy leaves gemm."""
+
+    @pytest.mark.parametrize("n_hidden", [2, 3, 10])
+    @pytest.mark.parametrize("n_inputs", [2, 6, 10])
+    @pytest.mark.parametrize("rows", [2, 3, 300, 513])
+    def test_ones_column_matches_separate_bias(self, n_hidden, n_inputs,
+                                               rows):
+        rng = np.random.default_rng(rows * 100 + n_inputs * 10 + n_hidden)
+        xs = rng.integers(0, 40, size=(rows, n_inputs)) / 40.0
+        w_h = rng.normal(0.0, 1.0, size=(5, n_hidden, n_inputs + 1))
+        d_h = rng.normal(0.0, 0.01, size=(5, rows, n_hidden))
+        hidden_in, hidden_grad = _hidden_layer(xs, n_hidden)
+        h_in = xs @ w_h[:, :, :-1].transpose(0, 2, 1) + w_h[:, None, :, -1]
+        grad = d_h.transpose(0, 2, 1) @ xs
+        bias_grad = d_h.sum(axis=1)
+        folded_in = hidden_in(w_h)
+        folded_grad = hidden_grad(d_h)
+        assert np.array_equal(folded_in, h_in), (
+            f"{_blas()}: the ones-column matmul differs from matmul + bias "
+            f"add; the BLAS no longer accumulates gemm outputs in order "
+            f"with FMA")
+        assert np.array_equal(folded_grad[:, :, :-1], grad), (
+            f"{_blas()}: the weight gradient moved with the ones column")
+        assert np.array_equal(folded_grad[:, :, -1], bias_grad), (
+            f"{_blas()}: the ones-column gradient differs from "
+            f"d_h.sum(axis=1); the BLAS no longer accumulates gemm outputs "
+            f"in order with FMA")
+
+    @pytest.mark.parametrize("n_hidden", [2, 10])
+    def test_one_row_matches_sequential(self, n_hidden):
+        # One row makes numpy take gemv, where the fold is not exact.
+        pos = np.array([[0.8, 0.25, 0.1, 0.25, 0.4, 0.8]])
+        cfg = TrainConfig(max_epochs=200, seed=2)
+        _assert_same_result(train_network(pos, None, n_hidden, config=cfg),
+                            _sequential_train(pos, None, n_hidden, cfg))
+
+    @pytest.mark.parametrize("data", ["blobs", "xor"])
+    def test_300_rows_match_sequential(self, data):
+        # The corpus trains 288- and 304-row sets.
+        pos, neg = {"blobs": lambda: _blobs(n_per=152, dim=6),
+                    "xor": lambda: _xor(n_per=160, seed=4)}[data]()
+        cfg = TrainConfig(max_epochs=300, seed=5)
+        got = train_network(pos, neg, 10, config=cfg)
+        assert got.n_positives + got.n_negatives >= 300
+        _assert_same_result(got, _sequential_train(pos, neg, 10, cfg))
