@@ -10,15 +10,17 @@ Four measurements, all recorded into ``benchmarks/results/`` and into
    path is bit-identical, so anything short of a real speedup is a
    regression: the assertion fails if batched replay is not faster than
    scalar.
-2. **Parallel orchestration** -- wall time of correct-run collection,
-   serial vs the process-wide warm pool (``jobs``), with identical
-   outputs. The *cold* figure times the first parallel batch on a fresh
-   pool (what a one-shot CLI run pays); the *warm* figure interleaves
-   serial and pool rounds with the shared pool already live, so neither
-   side carries startup cost -- that steady-state ratio is the recorded
+2. **Parallel orchestration** -- wall time of the preset corpus
+   (``repro corpus``), serial vs its programs fanned across the
+   process-wide warm pool (``jobs``), with identical metrics. Whole
+   programs are the unit that fans out; one diagnosis runs serially.
+   The *cold* figure times the first parallel corpus on a fresh pool
+   (what a one-shot CLI run pays); the *warm* figure interleaves serial
+   and pool rounds with the shared pool already live, so neither side
+   carries startup cost -- that steady-state ratio is the recorded
    ``speedup`` and what the trend history gates. ``host_cpus`` is
-   recorded alongside: on a single-CPU host the warm speedup honestly
-   tops out below 1x (there is no second core to win on); the gate's
+   recorded alongside: on a single-CPU host the speedup honestly tops
+   out at 1x or below (there is no second core to win on); the gate's
    widened threshold absorbs host-to-host variance.
 3. **Trace I/O** -- write+read wall time of the long replay trace in
    the JSON-lines format vs the columnar binary format
@@ -48,10 +50,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from repro.analysis.accuracy import run_corpus_for_preset
+from repro.analysis.accuracy import metrics_json, run_corpus_for_preset
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run, replay_scalar
-from repro.core.offline import OfflineTrainer, collect_correct_runs
+from repro.core.offline import OfflineTrainer
 from repro.parallel import get_pool
 from repro.trace import read_trace, write_trace
 from repro.workloads.framework import run_program
@@ -65,7 +67,6 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 # "fast" is still long enough (~0.3s scalar) that the recorded speedup
 # ratio is stable to well under the trend gate's 30% threshold.
 REPEATS = {"fast": 80, "bench": 200, "full": 500}
-N_PARALLEL_RUNS = {"fast": 8, "bench": 16, "full": 32}
 
 
 def _noop(_):
@@ -138,31 +139,29 @@ def test_throughput(preset, save_result):
     fast_dps = d_fast.n_deps / t_fast
     replay_speedup = t_scalar / t_fast
 
-    # --- parallel run collection vs serial ---------------------------
-    n_runs = N_PARALLEL_RUNS[preset.name]
+    # --- corpus: serial vs programs across the pool -------------------
     # At least 2 workers so the pool path is exercised even on one CPU
     # (where the recorded speedup will honestly come out ~1x or less).
     jobs = preset.jobs or max(2, min(4, os.cpu_count() or 1))
+    serial_preset = replace(preset, jobs=None)
+    jobs_preset = replace(preset, jobs=jobs)
     pool = get_pool()
-    # Cold: the first parallel batch in a fresh process -- pool spawn,
+    # Cold: the first parallel corpus in a fresh process -- pool spawn,
     # imports, then the work.
     pool.shutdown()
     t0 = time.perf_counter()
-    runs_cold = collect_correct_runs(prog, n_runs, seed0=0, jobs=jobs)
+    corpus_cold = run_corpus_for_preset(jobs_preset)
     t_cold = time.perf_counter() - t0
     # Warm: the shared pool is live; serial and pool rounds interleave
     # so *neither* side carries startup cost and the ratio is pure
     # steady-state orchestration.
     pool.warm(jobs)
-    (t_serial, t_warm), (runs_serial, runs_jobs) = _best_of_each(
-        [lambda: collect_correct_runs(prog, n_runs, seed0=0),
-         lambda: collect_correct_runs(prog, n_runs, seed0=0, jobs=jobs)],
-        rounds=3)
-    assert [r.seed for r in runs_jobs] == [r.seed for r in runs_serial]
-    assert all(a.events == b.events
-               for a, b in zip(runs_serial, runs_jobs))
-    assert all(a.events == b.events
-               for a, b in zip(runs_serial, runs_cold))
+    (t_serial, t_warm), (corpus_serial, corpus_jobs) = _best_of_each(
+        [lambda: run_corpus_for_preset(serial_preset),
+         lambda: run_corpus_for_preset(jobs_preset)],
+        rounds=2)
+    assert (metrics_json(corpus_serial) == metrics_json(corpus_jobs)
+            == metrics_json(corpus_cold))
     t_startup = measure_pool_startup(jobs)
 
     # --- trace I/O: JSON-lines vs columnar ---------------------------
@@ -227,8 +226,7 @@ def test_throughput(preset, save_result):
             "mode_switches": d_scalar.n_mode_switches,
         },
         "parallel": {
-            "program": "lu",
-            "n_runs": n_runs,
+            "corpus_size": corpus_cold.spec.size,
             "jobs": jobs,
             "serial_seconds": round(t_serial, 6),
             "parallel_cold_seconds": round(t_cold, 6),
@@ -282,7 +280,7 @@ def test_throughput(preset, save_result):
         f"  batched fast path   : {fast_dps:,.0f} deps/sec",
         f"  speedup             : {replay_speedup:.1f}x",
         "",
-        f"Run collection ({n_runs} correct runs, jobs={jobs}, "
+        f"Corpus fan-out (size {corpus_cold.spec.size}, jobs={jobs}, "
         f"host_cpus={os.cpu_count()})",
         f"  serial              : {t_serial:.3f} s",
         f"  warm pool           : {t_warm:.3f} s",

@@ -6,11 +6,11 @@ one JSONL entry to ``BENCH_history.jsonl`` and compares the *gated*
 metrics against the last recorded entry, failing (exit 1) when any of
 them regresses beyond the threshold (30% by default).
 
-Gated metrics are machine-portable ratios (the replay and warm-pool
-speedups) plus the end-to-end corpus wall time, each with its own
-direction and threshold: a CI runner two times slower than the last
-machine should not trip the ratio gates, a fast path that lost its
-speedup should, and a corpus run that doubled in wall time (the widened
+Gated metrics are machine-portable ratios (the replay speedup and the
+corpus ``--jobs N`` speedup) plus the end-to-end corpus wall time, each
+with its own direction and threshold: a CI runner two times slower than
+the last machine should not trip the ratio gates, a fast path that lost
+its speedup should, and a corpus run that doubled in wall time (the widened
 ``corpus_wall_seconds`` gate) signals a real pipeline regression, not
 scheduler noise. Absolute throughput and the cold/warm speedup split
 are still recorded in every entry so the trajectory can be plotted.
@@ -33,8 +33,8 @@ DEFAULT_THRESHOLD = 0.30
 # ("higher" is better, or "lower" -- wall-clock style) and may widen
 # the threshold beyond the run default: the replay speedup divides two
 # multi-hundred-millisecond measurements of deterministic compute and
-# gates tightly, while the warm-pool speedup and the corpus wall time
-# depend on the host's core count and scheduler, so they only gate
+# gates tightly, while the corpus fan-out speedup and the corpus wall
+# time depend on the host's core count and scheduler, so they only gate
 # against collapses, not noise. A gated metric absent from either entry
 # is skipped with a logged reason (new metrics must not fail the first
 # run that records them, and old histories must not fail new gates).

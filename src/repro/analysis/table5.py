@@ -58,8 +58,7 @@ def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
         report, buffer_used = diagnose_with_buffer_escalation(
             program, config=config,
             n_train_runs=preset.n_train_traces,
-            n_pruning_runs=preset.n_pruning_runs,
-            jobs=preset.jobs)
+            n_pruning_runs=preset.n_pruning_runs)
         aviso = AvisoEngine(max_failures=preset.aviso_max_failures)
         a = aviso.diagnose_report(get_bug(name), n_train_runs=15,
                                   train_seed0=300, failure_seed=901)

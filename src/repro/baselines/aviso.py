@@ -120,11 +120,11 @@ class AvisoEngine(Predictor):
     def trained(self):
         return self._counts is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         runs = collect_runs_for_seeds(
-            program, range(seed0, seed0 + n_runs), jobs=jobs,
-            quarantine=quarantine, **params)
+            program, range(seed0, seed0 + n_runs), quarantine=quarantine,
+            **params)
         counts = defaultdict(int)
         multithreaded = False
         for run in runs:
@@ -155,7 +155,7 @@ class AvisoEngine(Predictor):
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
                        pruning_params=None, root_cause=None,
-                       jobs=None, quarantine=None):
+                       quarantine=None):
         first = failure_run(program, failure_seed, failure_params)
         truth = truth_of(first, root_cause)
         self.failures_used = 0

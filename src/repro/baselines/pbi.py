@@ -88,11 +88,11 @@ class PBIEngine(Predictor):
     def trained(self):
         return self._succ_true is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         runs = collect_runs_for_seeds(
-            program, range(seed0, seed0 + n_runs), jobs=jobs,
-            quarantine=quarantine, **params)
+            program, range(seed0, seed0 + n_runs), quarantine=quarantine,
+            **params)
         succ_true = defaultdict(int)
         succ_obs = defaultdict(int)
         for run in runs:
@@ -133,7 +133,7 @@ class PBIEngine(Predictor):
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
                        pruning_params=None, root_cause=None,
-                       jobs=None, quarantine=None):
+                       quarantine=None):
         run = failure_run(program, failure_seed, failure_params)
         truth = truth_of(run, root_cause)
         if not run.failed:

@@ -302,9 +302,6 @@ def _add_diagnose_args(d):
     d.add_argument("--debug-buffer", type=int, default=60)
     d.add_argument("--threshold", type=float, default=0.05)
     d.add_argument("--top", type=int, default=5)
-    d.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent runs "
-                        "(results identical to serial; 0 = all CPUs)")
     d.add_argument("--engine", default="nn", metavar="NAME",
                    help="predictor engine (see docs/engines.md): nn "
                         "(default), aviso, pbi, pset, ensemble, or "
@@ -558,8 +555,9 @@ def build_parser():
     e.add_argument("--preset", choices=("fast", "bench", "full"),
                    default="fast")
     e.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent runs "
-                        "(results identical to serial; 0 = all CPUs)")
+                   help="worker processes for independent programs and "
+                        "topology-grid points (results identical to "
+                        "serial; 0 = all CPUs)")
     _add_telemetry_args(e)
 
     sv = sub.add_parser(
@@ -571,9 +569,9 @@ def build_parser():
                          "jobs survive a daemon kill and resume on "
                          "restart (in-memory queue when omitted)")
     sv.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="default worker processes for jobs that do not "
-                         "set their own (results identical to serial; "
-                         "0 = all CPUs)")
+                    help="default worker processes for corpus, shootout "
+                         "and frontier jobs that do not set their own "
+                         "(results identical to serial; 0 = all CPUs)")
     sv.add_argument("--warm-capacity", type=int, default=16, metavar="N",
                     help="LRU capacity of the warm-state cache, in "
                          "workloads (default 16)")

@@ -37,7 +37,6 @@ from repro.core.offline import (OfflineTrainer, TrainedACT,
                                 sequences_from_payload, sequences_to_payload)
 from repro.core.postprocess import CorrectSet, postprocess, run_sequences
 from repro.faults import Checkpoint
-from repro.parallel import resolve_jobs
 from repro.workloads.framework import run_program
 
 #: First seed of the contiguous training-run range. Shared with callers
@@ -88,9 +87,9 @@ def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
                  n_pruning_runs, pruning_seed0, failure_params,
                  correct_params, pruning_params, root_cause, policy=None):
     """Checkpoint identity for one diagnosis: everything that shapes the
-    result. ``jobs`` is excluded -- it never changes outputs, so a
-    serial run may resume a parallel one and vice versa. A disabled
-    policy is elided so pre-policy checkpoints keep resuming."""
+    result. No worker count belongs here: one diagnosis always runs
+    serially. A disabled policy is elided so pre-policy checkpoints
+    keep resuming."""
     fp = {
         "program": getattr(program, "name", "?"),
         "config": asdict(config),
@@ -171,8 +170,8 @@ def _aborted_report(program, error, quarantine):
 
 
 def build_correct_set(program, config, n_runs,
-                      seed0=DEFAULT_PRUNING_SEED0, jobs=None,
-                      quarantine=None, **params):
+                      seed0=DEFAULT_PRUNING_SEED0, quarantine=None,
+                      **params):
     """The Correct Set of ``n_runs`` fresh correct runs from ``seed0``.
 
     It depends on the program, the seeds, ``params`` and the config's
@@ -183,8 +182,7 @@ def build_correct_set(program, config, n_runs,
                              filter_stack=config.filter_stack_loads)
     for run in collect_runs_for_seeds(program,
                                       range(seed0, seed0 + n_runs),
-                                      jobs=jobs, quarantine=quarantine,
-                                      **params):
+                                      quarantine=quarantine, **params):
         correct_set.add_run(run)
     return correct_set
 
@@ -194,7 +192,7 @@ def diagnose_failure(program, config=None, trained=None,
                      failure_seed=12345,
                      n_pruning_runs=20, pruning_seed0=DEFAULT_PRUNING_SEED0,
                      failure_params=None, correct_params=None,
-                     pruning_params=None, root_cause=None, jobs=None,
+                     pruning_params=None, root_cause=None,
                      faults=None, quarantine=None, checkpoint=None,
                      trained_sink=None, engine=None, engine_state=None,
                      engine_state_sink=None, policy=None, correct_set=None,
@@ -219,10 +217,6 @@ def diagnose_failure(program, config=None, trained=None,
             dependences from the code sections where the dependence
             sequences of the Debug Buffer belong").
         root_cause: override the program's ground-truth dependence keys.
-        jobs: run independent units (correct-run collection, pruning
-            runs, offline training) across ``jobs`` worker processes.
-            ``None``/1 keeps everything serial; results are identical
-            either way.
         faults: :class:`~repro.faults.FaultPlan` to activate for the
             whole diagnosis (defaults to the ambient plan; the zero
             plan is a no-op and preserves bit-identical output).
@@ -285,7 +279,7 @@ def diagnose_failure(program, config=None, trained=None,
                 n_pruning_runs=n_pruning_runs, pruning_seed0=pruning_seed0,
                 failure_params=failure_params, correct_params=correct_params,
                 pruning_params=pruning_params, root_cause=root_cause,
-                jobs=jobs, faults=faults, quarantine=quarantine,
+                faults=faults, quarantine=quarantine,
                 checkpoint=checkpoint, trained_sink=trained_sink,
                 state=engine_state, state_sink=engine_state_sink)
     config = config or ACTConfig()
@@ -306,17 +300,16 @@ def diagnose_failure(program, config=None, trained=None,
             return _diagnose_phases(
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
-                correct_params, pruning_params, root_cause, jobs,
-                quarantine, checkpoint, trained_sink, correct_set,
-                correct_set_sink)
+                correct_params, pruning_params, root_cause, quarantine,
+                checkpoint, trained_sink, correct_set, correct_set_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
-                     pruning_params, root_cause, jobs=None,
-                     quarantine=None, checkpoint=None, trained_sink=None,
-                     correct_set=None, correct_set_sink=None):
+                     pruning_params, root_cause, quarantine=None,
+                     checkpoint=None, trained_sink=None, correct_set=None,
+                     correct_set_sink=None):
     if checkpoint is not None:
         cached = checkpoint.get("report")
         if cached is not None:
@@ -335,7 +328,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
                                n_runs=n_train_runs):
                     trainer = OfflineTrainer(config=config)
                     trained = trainer.train(program, n_runs=n_train_runs,
-                                            seed0=train_seed0, jobs=jobs,
+                                            seed0=train_seed0,
                                             quarantine=quarantine,
                                             **correct_params)
             except ReproError as e:
@@ -405,10 +398,10 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
             if checkpoint is None:
                 correct_set = build_correct_set(
                     program, config, n_pruning_runs, pruning_seed0,
-                    jobs=jobs, quarantine=quarantine, **pruning_params)
+                    quarantine=quarantine, **pruning_params)
             else:
                 correct_set = _pruning_with_checkpoint(
-                    program, config, n_pruning_runs, pruning_seed0, jobs,
+                    program, config, n_pruning_runs, pruning_seed0,
                     quarantine, checkpoint, pruning_params)
     if correct_set_sink is not None:
         correct_set_sink(correct_set)
@@ -433,15 +426,14 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     return report
 
 
-def _pruning_with_checkpoint(program, config, n_runs, seed0, jobs,
-                             quarantine, checkpoint, pruning_params):
+def _pruning_with_checkpoint(program, config, n_runs, seed0, quarantine,
+                             checkpoint, pruning_params):
     """The Correct Set, with per-seed checkpoint snapshots of its runs.
 
     Each finished run's dependence sequences are persisted under the
-    ``pruning:<seed>`` phase; a resumed diagnosis replays the cached
-    sequences and collects only the missing seeds. Serial collection
-    saves after every seed (a crash loses at most one run); parallel
-    collection saves the whole batch once.
+    ``pruning:<seed>`` phase as soon as the run is collected (a crash
+    loses at most one run); a resumed diagnosis replays the cached
+    sequences and collects only the missing seeds.
     """
     seeds = range(seed0, seed0 + n_runs)
     seq_by_seed = {}
@@ -454,28 +446,15 @@ def _pruning_with_checkpoint(program, config, n_runs, seed0, jobs,
             pending.append(seed)
     # Collection drops quarantined runs, so each kept run is filed under
     # its own seed, never by position.
-    if pending and resolve_jobs(jobs) <= 1:
-        for seed in pending:
-            for run in collect_runs_for_seeds(program, [seed],
-                                              quarantine=quarantine,
-                                              **pruning_params):
-                seqs = run_sequences(run, config.seq_len,
-                                     filter_stack=config.filter_stack_loads)
-                seq_by_seed[run.seed] = seqs
-                checkpoint.put(f"pruning:{run.seed}",
-                               {"sequences": sequences_to_payload(seqs)})
-    elif pending:
-        runs = collect_runs_for_seeds(program, pending, jobs=jobs,
-                                      quarantine=quarantine,
-                                      **pruning_params)
-        for run in runs:
+    for seed in pending:
+        for run in collect_runs_for_seeds(program, [seed],
+                                          quarantine=quarantine,
+                                          **pruning_params):
             seqs = run_sequences(run, config.seq_len,
                                  filter_stack=config.filter_stack_loads)
             seq_by_seed[run.seed] = seqs
             checkpoint.put(f"pruning:{run.seed}",
-                           {"sequences": sequences_to_payload(seqs)},
-                           save=False)
-        checkpoint.save()
+                           {"sequences": sequences_to_payload(seqs)})
     correct_set = CorrectSet(config.seq_len,
                              filter_stack=config.filter_stack_loads)
     for seed in seeds:

@@ -144,8 +144,8 @@ class Predictor:
     def trained(self):
         raise NotImplementedError
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         """Build engine state from ``n_runs`` correct executions."""
         raise NotImplementedError
 
@@ -192,7 +192,7 @@ class Predictor:
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
                        pruning_params=None, root_cause=None,
-                       jobs=None, quarantine=None):
+                       quarantine=None):
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
 
@@ -201,7 +201,7 @@ class Predictor:
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, jobs=None,
+                        root_cause=None,
                         faults=None, quarantine=None, checkpoint=None,
                         trained_sink=None, state=None, state_sink=None):
         """Train if cold, then diagnose; the engine-routed entry point.
@@ -229,7 +229,7 @@ class Predictor:
                     with tele.span("engine.train", engine=self.name,
                                    n_runs=n_train_runs):
                         self.train(program, n_runs=n_train_runs,
-                                   seed0=train_seed0, jobs=jobs,
+                                   seed0=train_seed0,
                                    quarantine=quarantine,
                                    **correct_params)
                     if tele.enabled:
@@ -243,8 +243,7 @@ class Predictor:
                     failure_params=failure_params,
                     correct_params=correct_params,
                     pruning_params=pruning_params,
-                    root_cause=root_cause, jobs=jobs,
-                    quarantine=quarantine)
+                    root_cause=root_cause, quarantine=quarantine)
                 if tele.enabled:
                     tele.inc("engine.diagnoses")
                 if quarantine is not None and len(quarantine):

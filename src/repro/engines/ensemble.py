@@ -75,10 +75,10 @@ class EnsembleEngine(Predictor):
     def trained(self):
         return all(m.trained for m in self.members)
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         for member in self.members:
-            member.train(program, n_runs=n_runs, seed0=seed0, jobs=jobs,
+            member.train(program, n_runs=n_runs, seed0=seed0,
                          quarantine=quarantine, **params)
 
     def predict_batch(self, seqs):
@@ -153,7 +153,7 @@ class EnsembleEngine(Predictor):
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, jobs=None,
+                        root_cause=None,
                         faults=None, quarantine=None, checkpoint=None,
                         trained_sink=None, state=None, state_sink=None):
         """Run every member's protocol, then RRF-merge the reports.
@@ -190,8 +190,7 @@ class EnsembleEngine(Predictor):
                         failure_params=failure_params,
                         correct_params=correct_params,
                         pruning_params=pruning_params,
-                        root_cause=root_cause, jobs=jobs,
-                        quarantine=quarantine,
+                        root_cause=root_cause, quarantine=quarantine,
                         state_sink=(lambda s, _m=member:
                                     _m.load_state(s))))
                 if state_sink is not None:

@@ -35,12 +35,11 @@ class NNEngine(Predictor):
     def trained(self):
         return self._trained is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         trainer = OfflineTrainer(config=self.config)
         self._trained = trainer.train(program, n_runs=n_runs, seed0=seed0,
-                                      jobs=jobs, quarantine=quarantine,
-                                      **params)
+                                      quarantine=quarantine, **params)
 
     def predict_batch(self, seqs):
         seqs = list(seqs)
@@ -63,7 +62,7 @@ class NNEngine(Predictor):
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
                        pruning_params=None, root_cause=None,
-                       jobs=None, quarantine=None):
+                       quarantine=None):
         from repro.core.diagnosis import diagnose_failure
 
         return diagnose_failure(
@@ -71,8 +70,7 @@ class NNEngine(Predictor):
             failure_seed=failure_seed, n_pruning_runs=n_pruning_runs,
             pruning_seed0=pruning_seed0, failure_params=failure_params,
             correct_params=correct_params, pruning_params=pruning_params,
-            root_cause=root_cause, jobs=jobs,
-            quarantine=quarantine)
+            root_cause=root_cause, quarantine=quarantine)
 
     def diagnose_report(self, program, trained=None, state=None,
                         state_sink=None, trained_sink=None, **kwargs):

@@ -1,11 +1,13 @@
-"""Parallel run orchestration: fan independent units across processes.
+"""Parallel orchestration: fan independent units across processes.
 
-The ACT pipeline is full of embarrassingly parallel loops whose items
-share nothing: correct-run collection (each run gets its own seed),
-post-failure pruning runs, per-thread offline training, and the
-topology-search grid. :func:`run_tasks` executes such a loop across a
-process pool while keeping the *observable result identical* to the
-serial loop:
+Only two kinds of unit are worth a worker process: whole programs (the
+per-program diagnoses of ``corpus``, ``shootout`` and ``frontier``) and
+topology-search grid points (independent trainings of a Table IV
+search). Everything inside one diagnosis -- correct-run collection,
+pruning runs, offline training -- runs serially, but still through
+:func:`run_tasks`, so its per-seed kill/quarantine semantics and its
+``parallel.task`` spans are the same at every level. :func:`run_tasks`
+keeps the *observable result identical* to the serial loop:
 
 - every item's inputs (seeds included) are fixed up front, so workers
   compute exactly what the serial iteration would have computed;
@@ -18,19 +20,10 @@ serial loop:
 
 The pool itself is process-wide and *warm*: a single
 :class:`PoolHandle` owns one ``ProcessPoolExecutor`` that is created on
-first use and reused across every batch in the process -- collection,
-training, topology search, corpus fan-out -- so only the first parallel
-call in a process pays worker startup. Batches dispatch items in small
-*chunks* (up to :data:`MAX_CHUNK` per submission) to amortise pickling
-and future overhead over several work units; each item inside a chunk
-still runs under its own task span and child registry, so chunking is
-invisible to telemetry and to the serial-identity guarantee. Callers
-whose results are dominated by bulk data can pass a
-``codec=(encode, decode)`` pair -- ``encode`` runs in the worker,
-``decode`` in the parent, and the serial path skips both -- e.g.
-collected traces cross the process boundary as packed numpy columns
-(:func:`repro.trace.columnar.pack_run`) instead of pickled per-event
-dataclasses.
+first use and reused across every batch in the process, so only the
+first parallel call in a process pays worker startup. Each item is one
+pool submission whose outcome comes back tagged (``ok`` / ``killed`` /
+``error``), so retry and quarantine policy applies per item.
 
 Tracing v2 makes the stitching *structural*: the coordinator's open
 span context (trace id + span id) and its clock spec cross the process
@@ -82,11 +75,8 @@ from repro.common.errors import ReproError, WorkerKilled
 from repro.telemetry.clock import clock_from_spec, clock_spec
 from repro.telemetry.events import FlightRecorder
 
-#: Upper bound on items per pool submission. Chunking amortises pickle
-#: and future overhead across work units a few milliseconds long; the
-#: cap keeps retry granularity (a broken pool re-runs whole chunks) and
-#: load balance reasonable.
-MAX_CHUNK = 8
+#: The gauge recording the worker count a ``--jobs`` value resolved to.
+JOBS_GAUGE = "parallel.jobs_resolved"
 
 
 def resolve_jobs(jobs):
@@ -105,7 +95,7 @@ def resolve_jobs(jobs):
         resolved = (os.cpu_count() or 1) if jobs <= 0 else jobs
     tele = telemetry.get_registry()
     if tele.enabled:
-        tele.set_gauge("parallel.jobs_resolved", resolved)
+        tele.set_gauge(JOBS_GAUGE, resolved)
     return resolved
 
 
@@ -266,28 +256,20 @@ def _invoke_one(fn, item, tspec, plan, key, attempt):
         return out, snap
 
 
-def _invoke_chunk(payload):
-    """Pool-worker trampoline: run a chunk of items, tagging outcomes.
+def _invoke_tagged(payload):
+    """Pool-worker trampoline: run one item and tag its outcome.
 
-    Each item still executes independently (own task span, own child
-    registry, own kill site); the chunk exists only to amortise
-    dispatch overhead. Per-item outcomes come back tagged so the parent
-    can apply retry/quarantine policy per item, exactly as if each had
-    been submitted alone.
+    The tag lets the parent apply retry/quarantine policy per item
+    without a worker exception tearing down the future.
     """
-    fn, entries, tspec, plan, encode = payload
-    out = []
-    for item, key, attempt in entries:
-        try:
-            result, snap = _invoke_one(fn, item, tspec, plan, key, attempt)
-            if encode is not None:
-                result = encode(result)
-            out.append(("ok", result, snap))
-        except WorkerKilled as e:
-            out.append(("killed", e, None))
-        except Exception as e:  # noqa: BLE001 - re-raised in the parent
-            out.append(("error", e, None))
-    return out
+    fn, item, tspec, plan, key, attempt = payload
+    try:
+        result, snap = _invoke_one(fn, item, tspec, plan, key, attempt)
+        return "ok", result, snap
+    except WorkerKilled as e:
+        return "killed", e, None
+    except Exception as e:  # noqa: BLE001 - re-raised in the parent
+        return "error", e, None
 
 
 def _orphaned(tele, phase, key, attempts):
@@ -340,16 +322,9 @@ def _run_serial(fn, items, keys, plan, quarantine, phase, tele):
     return results
 
 
-def _chunk_size(n_items, n_workers):
-    """Items per submission: fill the workers, capped at MAX_CHUNK."""
-    return max(1, min(-(-n_items // n_workers), MAX_CHUNK))
-
-
-def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
-              codec=None):
+def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
     """Dispatch items across the warm pool with bounded retries."""
     tspec = _tele_spec(tele, phase)
-    encode, decode = codec if codec is not None else (None, None)
     n = len(items)
     results = [None] * n
     snaps = [None] * n
@@ -362,56 +337,50 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
         retry = {}
         pool_broke = False
         ex = _POOL.executor(n_workers)
-        order = sorted(pending)
-        size = _chunk_size(len(order), n_workers)
-        chunks = [order[i:i + size] for i in range(0, len(order), size)]
         futures = []
-        for chunk in chunks:
-            entries = [(items[i], keys[i], pending[i]) for i in chunk]
+        for index in sorted(pending):
             try:
-                fut = ex.submit(_invoke_chunk,
-                                (fn, entries, tspec, plan, encode))
+                fut = ex.submit(_invoke_tagged,
+                                (fn, items[index], tspec, plan, keys[index],
+                                 pending[index]))
             except BrokenProcessPool:
-                # The shared pool died between batches; treat the chunk
+                # The shared pool died between batches; treat the item
                 # like an in-flight crash below.
                 fut = None
-            futures.append((chunk, fut))
-        for chunk, future in futures:
+            futures.append((index, fut))
+        for index, future in futures:
+            attempt = pending[index]
             try:
                 if future is None:
                     raise BrokenProcessPool("pool broken at submit")
-                outcomes = future.result()
+                tag, value, snap = future.result()
             except BrokenProcessPool:
                 # A real worker death: every item in flight on this
                 # pool fails together. Rebuild the pool and re-run them
                 # under the same bounded-retry budget.
                 pool_broke = True
-                for index in chunk:
-                    attempt = pending[index]
-                    tele.inc("faults.worker_kills")
-                    if attempt >= plan.max_retries:
-                        errors[index] = WorkerKilled(
-                            f"worker process died (task {index}, "
-                            f"attempt {attempt}); retries exhausted",
-                            task_index=index, attempt=attempt)
-                    else:
-                        retry[index] = attempt + 1
-                        tele.inc("parallel.retries")
-                continue
-            for index, (tag, value, snap) in zip(chunk, outcomes):
-                attempt = pending[index]
-                if tag == "ok":
-                    results[index] = decode(value) if decode else value
-                    snaps[index] = snap
-                elif tag == "killed":
-                    tele.inc("faults.worker_kills")
-                    if attempt >= plan.max_retries:
-                        errors[index] = value
-                    else:
-                        retry[index] = attempt + 1
-                        tele.inc("parallel.retries")
+                tele.inc("faults.worker_kills")
+                if attempt >= plan.max_retries:
+                    errors[index] = WorkerKilled(
+                        f"worker process died (task {index}, "
+                        f"attempt {attempt}); retries exhausted",
+                        task_index=index, attempt=attempt)
                 else:
+                    retry[index] = attempt + 1
+                    tele.inc("parallel.retries")
+                continue
+            if tag == "ok":
+                results[index] = value
+                snaps[index] = snap
+            elif tag == "killed":
+                tele.inc("faults.worker_kills")
+                if attempt >= plan.max_retries:
                     errors[index] = value
+                else:
+                    retry[index] = attempt + 1
+                    tele.inc("parallel.retries")
+            else:
+                errors[index] = value
         if pool_broke:
             tele.inc("parallel.pool_restarts")
             _POOL.restart()
@@ -436,7 +405,7 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
 
 
 def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
-              keys=None, codec=None):
+              keys=None):
     """Apply ``fn`` to every item, optionally across worker processes.
 
     Serial (``jobs`` None/1) and parallel execution produce identical
@@ -458,11 +427,6 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
         phase: quarantine phase label for failed items.
         keys: per-item identities for quarantine records (defaults to
             the item index).
-        codec: optional ``(encode, decode)`` pair of module-level
-            functions. ``encode`` maps a result to its wire form in the
-            worker, ``decode`` inverts it in the parent; together they
-            must round-trip exactly. The serial path skips both, so a
-            codec can only change transfer cost, never results.
 
     Returns the list of results in item order (``None`` holes for
     quarantined items).
@@ -473,22 +437,29 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
         raise ReproError("run_tasks: keys must match items 1:1")
     plan = _faults.get_plan()
     tele = telemetry.get_registry()
-    n_workers = min(resolve_jobs(jobs), len(items))
+    n_jobs = resolve_jobs(jobs)
+    n_workers = min(n_jobs, len(items))
     if n_workers <= 1:
-        return _run_serial(fn, items, keys, plan, quarantine, phase, tele)
-    results, snaps = _run_pool(fn, items, keys, plan, quarantine, phase,
-                               tele, n_workers, codec=codec)
-    if tele.enabled:
-        tele.inc("parallel.batches")
-        tele.inc("parallel.tasks", len(items))
-        for snap in snaps:
-            if not snap:
-                continue
-            tele.merge_snapshot(snap)
-            if snap.get("spans"):
-                tele.tracer.attach(snap["spans"])
-            if snap.get("ops"):
-                tele.merge_ops(snap["ops"])
-            if tele.recorder is not None and snap.get("events"):
-                tele.recorder.extend(snap["events"])
+        results = _run_serial(fn, items, keys, plan, quarantine, phase, tele)
+    else:
+        results, snaps = _run_pool(fn, items, keys, plan, quarantine, phase,
+                                   tele, n_workers)
+        if tele.enabled:
+            tele.inc("parallel.batches")
+            tele.inc("parallel.tasks", len(items))
+            for snap in snaps:
+                if not snap:
+                    continue
+                tele.merge_snapshot(snap)
+                if snap.get("spans"):
+                    tele.tracer.attach(snap["spans"])
+                if snap.get("ops"):
+                    tele.merge_ops(snap["ops"])
+                if tele.recorder is not None and snap.get("events"):
+                    tele.recorder.extend(snap["events"])
+    if tele.enabled and tele.gauge(JOBS_GAUGE).value != n_jobs:
+        # A task's own serial loop (a corpus program collecting its
+        # runs) resolved jobs=None to 1, and the snapshot merge is
+        # last-writer-wins: report this batch's count, not the task's.
+        tele.set_gauge(JOBS_GAUGE, n_jobs)
     return results

@@ -101,7 +101,6 @@ class DiagnoseRequest:
     debug_buffer: int = 60
     threshold: float = 0.05
     top: int = 5
-    jobs: Optional[int] = None
     engine: str = "nn"
     faults: Optional[str] = None
     policy: Optional[str] = None
@@ -117,7 +116,7 @@ class DiagnoseRequest:
                    train_runs=args.train_runs,
                    pruning_runs=args.pruning_runs, seq_len=args.seq_len,
                    debug_buffer=args.debug_buffer,
-                   threshold=args.threshold, top=args.top, jobs=args.jobs,
+                   threshold=args.threshold, top=args.top,
                    engine=args.engine, faults=args.faults,
                    policy=args.policy,
                    quarantine_report=args.quarantine_report,
@@ -250,7 +249,6 @@ def run_diagnose(req, warm=None):
                                   n_train_runs=req.train_runs,
                                   n_pruning_runs=req.pruning_runs,
                                   failure_seed=req.seed,
-                                  jobs=req.jobs,
                                   faults=plan, quarantine=quarantine,
                                   checkpoint=checkpoint,
                                   trained_sink=trained_sink,
@@ -853,8 +851,9 @@ def run_request(req, warm=None, default_jobs=None):
     """Dispatch any request to its runner.
 
     ``default_jobs`` fills an unset ``jobs`` field (the daemon's
-    ``--jobs``); parallelism never changes results, so this only
-    affects wall time. ``warm`` is the daemon's
+    ``--jobs``) of the program-level requests -- corpus, shootout and
+    frontier; a diagnose request has none. Parallelism never changes
+    results, so this only affects wall time. ``warm`` is the daemon's
     :class:`WarmStateCache` (diagnose only).
     """
     if (default_jobs is not None and hasattr(req, "jobs")

@@ -7,11 +7,12 @@ One process, three moving parts:
   shutdown. Requests are tiny and answered immediately; nothing blocks
   on job execution.
 - the **scheduler thread** drains the FIFO job queue strictly in
-  submission order, one job at a time. Intra-job parallelism comes from
-  the job's ``jobs`` field (defaulting to the daemon's ``--jobs``)
-  scheduled over the shared warm :class:`~repro.parallel.PoolHandle` --
-  sequential jobs over a parallel pool keeps results deterministic
-  (byte-identical to a cold CLI run) while still using every core.
+  submission order, one job at a time. A ``corpus``, ``shootout`` or
+  ``frontier`` job fans its programs out by its ``jobs`` field
+  (defaulting to the daemon's ``--jobs``) over the shared warm
+  :class:`~repro.parallel.PoolHandle`; a ``diagnose`` job runs serially.
+  Sequential jobs keep results deterministic (byte-identical to a cold
+  CLI run).
 - the **warm-state cache** (:class:`~repro.service.ops.WarmStateCache`)
   holds trained networks/encoders and, for the NN engine, pruning-run
   Correct Sets keyed by (workload, seeds, config), so a repeat

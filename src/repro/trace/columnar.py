@@ -41,12 +41,6 @@ JSON-lines file: both decode to identical :class:`TraceRun` events
 suite holds under either format: the same plan drops/corrupts/reorders
 the same records; corruption here poisons the kind byte (always
 detectable, modelling a torn write).
-
-:func:`pack_run`/:func:`unpack_run` use the same columns as an
-in-memory wire format: pool workers ship collected runs to the parent
-as packed arrays (one buffer per column) instead of pickling a list of
-per-event dataclasses, which is where most of the old transfer cost
-went.
 """
 
 import hashlib
@@ -115,7 +109,7 @@ def pack_events(events):
     return {"tid": tid, "pc": pc, "kind": kind, "addr": addr, "flags": flags}
 
 
-def _decode_events(cols, n, path="<memory>", recover=False, tele=None):
+def _decode_events(cols, n, path, recover, tele):
     """Column arrays -> event list; returns ``(events, n_skipped)``.
 
     Decoding matches the JSON-lines reader record for record: memory
@@ -330,32 +324,3 @@ def read_trace_columnar(path, recover=False, quarantine=None):
                 attempts=1)
     return run
 
-
-def pack_run(run):
-    """Picklable columnar payload of a run, for cross-process transfer.
-
-    The event list (the bulk of a run) becomes five flat numpy buffers;
-    everything else (code map, failure, meta) is small and passes
-    through untouched. :func:`unpack_run` reconstructs an *exactly*
-    equal :class:`TraceRun`.
-    """
-    return {
-        "columns": pack_events(run.events),
-        "failed": run.failed,
-        "failure": run.failure,
-        "code_map": run.code_map,
-        "n_threads": run.n_threads,
-        "seed": run.seed,
-        "meta": run.meta,
-    }
-
-
-def unpack_run(payload):
-    """Inverse of :func:`pack_run` (exact round trip)."""
-    cols = payload["columns"]
-    events, _ = _decode_events(cols, int(cols["tid"].size))
-    return TraceRun(events=events, failed=payload["failed"],
-                    failure=payload["failure"],
-                    code_map=payload["code_map"],
-                    n_threads=payload["n_threads"], seed=payload["seed"],
-                    meta=payload["meta"])

@@ -21,6 +21,14 @@ class TestParser:
         assert args_dict["debug_buffer"] == 60
         assert args_dict["seq_len"] == 5
 
+    def test_diagnose_has_no_jobs_flag(self, capsys):
+        # One diagnosis runs serially; only whole programs fan out.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["diagnose", "gzip", "--jobs", "2"])
+        assert "--jobs" in capsys.readouterr().err
+        args = build_parser().parse_args(["corpus", "--jobs", "2"])
+        assert args.jobs == 2
+
     def test_unknown_bug_rejected(self, capsys):
         # Bug names resolve at run time now (the generated-name grammar
         # is open-ended), so a bad name is a clean error, not usage.
@@ -171,18 +179,19 @@ class TestTelemetryCLI:
 
 class TestTracingCLI:
     ARGS = ["--train-runs", "4", "--pruning-runs", "6"]
+    #: A two-program corpus at --jobs 2: the run that fans out.
+    CORPUS = ["corpus", "--seed", "3", "--size", "2", *ARGS, "--jobs", "2"]
 
     def test_events_writes_flight_recording(self, tmp_path, capsys):
         from repro.telemetry import is_event_stream, read_events
 
         out = tmp_path / "flight.jsonl"
-        rc = main(["diagnose", "gzip", *self.ARGS, "--jobs", "2",
-                   "--events", str(out)])
+        rc = main([*self.CORPUS, "--events", str(out)])
         assert rc == 0
         assert f"flight recording written to {out}" in capsys.readouterr().out
         assert is_event_stream(out)
         meta, events, footer = read_events(out)
-        assert meta["command"] == "diagnose"
+        assert meta["command"] == "corpus"
         kinds = {e["type"] for e in events}
         assert "span_open" in kinds and "counter" in kinds
         assert footer["n_recorded"] >= len(events)
@@ -192,31 +201,36 @@ class TestTracingCLI:
         for tag in ("a", "b"):
             ev = tmp_path / f"{tag}.jsonl"
             prof = tmp_path / f"{tag}.json"
-            assert main(["diagnose", "gzip", *self.ARGS, "--jobs", "2",
-                         "--events", str(ev), "--telemetry", str(prof),
-                         "--tick-clock"]) == 0
+            assert main([*self.CORPUS, "--events", str(ev),
+                         "--telemetry", str(prof), "--tick-clock"]) == 0
             paths.append((ev, prof))
         (ev_a, prof_a), (ev_b, prof_b) = paths
         assert ev_a.read_bytes() == ev_b.read_bytes()
         assert prof_a.read_bytes() == prof_b.read_bytes()
+        # Each program's run collection resolves its own serial loop to
+        # 1 inside a worker; the profile still reports --jobs 2.
+        gauges = read_profile(prof_a)["gauges"]
+        assert gauges["parallel.jobs_resolved"] == 2
 
     def test_jobs_run_yields_one_stitched_tree(self, tmp_path, capsys):
         from repro.telemetry import read_events_profile
 
         out = tmp_path / "flight.jsonl"
-        assert main(["diagnose", "gzip", *self.ARGS, "--jobs", "2",
-                     "--events", str(out), "--tick-clock"]) == 0
+        assert main([*self.CORPUS, "--events", str(out),
+                     "--tick-clock"]) == 0
         profile = read_events_profile(out)
+        assert profile["gauges"]["parallel.jobs_resolved"] == 2
         (root,) = profile["spans"]
-        assert root["name"] == "diagnose"
-        tasks = []
-        stack = [root]
-        while stack:
-            span = stack.pop()
-            stack.extend(span.get("children", []))
-            if span["name"] == "parallel.task":
-                tasks.append(span)
-        assert len(tasks) > 1  # worker spans stitched under the root
+        assert root["name"] == "corpus"
+        (dispatch,) = root["children"]
+        assert dispatch["name"] == "corpus.diagnose"
+        # One worker task per program, stitched under the dispatching
+        # span, each holding that program's whole diagnosis.
+        programs = dispatch["children"]
+        assert [t["name"] for t in programs] == ["parallel.task"] * 2
+        assert all(t["id"].startswith("b1.w") for t in programs)
+        assert all([c["name"] for c in t["children"]] == ["diagnose"]
+                   for t in programs)
 
     def test_profile_load_renders_flight_recording(self, tmp_path, capsys):
         out = tmp_path / "flight.jsonl"
@@ -367,6 +381,7 @@ class TestCorpusCLI:
         assert counters["corpus.programs"] == 2
         assert counters["diagnose.runs"] == 2
         assert "corpus.quarantined" in counters
+        assert profile["gauges"]["parallel.jobs_resolved"] == 1
         (root,) = profile["spans"]
         assert root["name"] == "corpus"
 

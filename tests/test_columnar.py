@@ -198,27 +198,6 @@ class TestFaultParity:
         assert len(qa) == len(qb) == 1
 
 
-class TestPackRun:
-    def test_pack_unpack_exact(self, pingpong):
-        run = run_program(pingpong, seed=1)
-        run.meta["note"] = "kept"
-        back = columnar.unpack_run(columnar.pack_run(run))
-        assert back.events == run.events
-        assert back.failed == run.failed
-        assert back.failure is run.failure
-        assert back.code_map is run.code_map
-        assert back.n_threads == run.n_threads
-        assert back.seed == run.seed
-        assert back.meta == run.meta
-
-    @settings(max_examples=25, deadline=None)
-    @given(events=_events)
-    def test_pack_unpack_property(self, events):
-        run = _run_of(events)
-        assert columnar.unpack_run(columnar.pack_run(run)).events \
-            == run.events
-
-
 class TestCliConvert:
     def _trace(self, pingpong, tmp_path, fmt):
         run = run_program(pingpong, seed=1)

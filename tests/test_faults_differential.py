@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.analysis.accuracy import (CorpusSpec, corpus_programs,
+                                     metrics_json, run_corpus)
 from repro.common.errors import WorkerKilled
 from repro.core.diagnosis import DiagnosisReport, diagnose_failure
 from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
@@ -70,11 +72,13 @@ class TestZeroFaultIdentity:
                 == _normalized(faulted_reg.snapshot()))
 
     def test_zero_plan_forces_no_behaviour_change_with_jobs(self):
-        program = get_bug("gzip")
-        plain = diagnose_failure(program, jobs=2, **_RUNS)
-        faulted = diagnose_failure(program, jobs=2, faults=ZERO_PLAN,
-                                   quarantine=Quarantine(), **_RUNS)
-        assert plain == faulted
+        # Programs are what fans out; the plan crosses into the workers.
+        spec = CorpusSpec(seed=10, size=2, n_train_runs=3, n_pruning_runs=4)
+        plain = run_corpus(spec, jobs=2)
+        faulted = run_corpus(spec, jobs=2, faults=ZERO_PLAN,
+                             quarantine=Quarantine())
+        assert plain.records == faulted.records
+        assert faulted.quarantine is None
 
 
 class TestQuarantineSubsetEquivalence:
@@ -111,8 +115,7 @@ class TestQuarantineSubsetEquivalence:
         assert np.array_equal(faulted.default_weights,
                               clean.default_weights)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_diagnosis_with_k_quarantined_equals_clean_subset(self, jobs):
+    def test_diagnosis_with_k_quarantined_equals_clean_subset(self):
         program = get_bug("gzip")
         # Corrupt the last pruning seed (100 + 3): the surviving work is
         # exactly a 3-pruning-run diagnosis.
@@ -120,7 +123,7 @@ class TestQuarantineSubsetEquivalence:
         faulted = diagnose_failure(program, n_train_runs=3, n_pruning_runs=4,
                                    faults=FaultPlan(seed=0,
                                                     corrupt_run_seeds=(103,)),
-                                   quarantine=quarantine, jobs=jobs)
+                                   quarantine=quarantine)
         clean = diagnose_failure(program, n_train_runs=3, n_pruning_runs=3)
         assert quarantine.keys() == [103]
         assert faulted.quarantine == quarantine.report_dict()
@@ -153,8 +156,7 @@ class TestKilledWorkerSpanStitching:
             stack.extend(span.get("children", []))
         return index
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_diagnosis_tree_flags_the_lost_run(self, jobs):
+    def test_diagnosis_tree_flags_the_lost_run(self):
         program = get_bug("gzip")
         # Kill pruning seed 102 on every attempt; quarantine absorbs it.
         plan = FaultPlan(seed=0, kill_tasks=((102, 0), (102, 1), (102, 2)),
@@ -163,8 +165,7 @@ class TestKilledWorkerSpanStitching:
         reg = telemetry.Registry(clock=telemetry.TickClock())
         with telemetry.use_registry(reg):
             report = diagnose_failure(program, faults=plan,
-                                      quarantine=quarantine, jobs=jobs,
-                                      **_RUNS)
+                                      quarantine=quarantine, **_RUNS)
         assert isinstance(report, DiagnosisReport)
         assert quarantine.keys() == [102]
         snap = reg.snapshot()
@@ -187,23 +188,55 @@ class TestKilledWorkerSpanStitching:
         assert "diagnose.pruning_runs" in chain
 
 
+def _corpus_fault_plan(kind, names):
+    if kind == "corrupt":
+        # A corrupt training seed aborts every program's diagnosis.
+        return FaultPlan(seed=0, corrupt_run_seeds=(1,))
+    # The first program dies on every attempt, the second once; the
+    # kill of training seed 2 is retried inside each program's own
+    # serial collection.
+    return FaultPlan(seed=0, kill_tasks=(
+        (names[0], 0), (names[0], 1), (names[0], 2), (names[1], 0),
+        (2, 0)))
+
+
+class TestCorpusFaultsAcrossJobs:
+    """Program-level fan-out keeps the fault semantics of the serial run."""
+
+    SPEC = CorpusSpec(seed=10, size=2, n_train_runs=3, n_pruning_runs=4)
+
+    @pytest.mark.parametrize("kind", ["kill", "corrupt"])
+    def test_same_metrics_and_quarantine_report(self, kind):
+        names = [ps.name for ps in corpus_programs(self.SPEC)]
+        plan = _corpus_fault_plan(kind, names)
+        outcomes = []
+        for jobs in (None, 2):
+            quarantine = Quarantine()
+            result = run_corpus(self.SPEC, jobs=jobs, faults=plan,
+                                quarantine=quarantine)
+            outcomes.append((metrics_json(result), result.quarantine))
+        assert outcomes[0] == outcomes[1]
+        quarantined = [r["key"] for r in outcomes[0][1]["records"]]
+        if kind == "kill":
+            assert quarantined == [names[0]]
+        else:
+            assert quarantined == names
+
+
 class TestCrashResume:
     KWARGS = dict(n_train_runs=3, n_pruning_runs=4)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_quarantined_pruning_run_checkpoints_by_seed(self, jobs,
-                                                         tmp_path):
+    def test_quarantined_pruning_run_checkpoints_by_seed(self, tmp_path):
         # A quarantined pruning seed in the middle of the range: the
         # checkpointed diagnosis must equal the plain one and file every
         # kept run under its own seed.
         program = get_bug("gzip")
         plan = FaultPlan(seed=0, corrupt_run_seeds=(101,))
         plain = diagnose_failure(program, faults=plan,
-                                 quarantine=Quarantine(), jobs=jobs,
-                                 **self.KWARGS)
+                                 quarantine=Quarantine(), **self.KWARGS)
         path = tmp_path / "ck.json"
         checkpointed = diagnose_failure(program, faults=plan,
-                                        quarantine=Quarantine(), jobs=jobs,
+                                        quarantine=Quarantine(),
                                         checkpoint=str(path), **self.KWARGS)
         assert checkpointed == plain
         phases = json.loads(path.read_text())["phases"]

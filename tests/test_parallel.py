@@ -2,7 +2,9 @@
 
 Parallel orchestration must be invisible in the results: identical
 runs, identical trained weights, identical diagnosis reports, identical
-telemetry counter totals, identical exceptions.
+telemetry counter totals, identical exceptions. Whole programs and
+topology-grid points are the units that fan out; a diagnosis inside a
+worker runs serially.
 """
 
 import os
@@ -253,12 +255,27 @@ class TestSimulatedFailurePickle:
         assert back.pc == 0x40
 
 
+def _collect(payload):
+    """Picklable program-level unit: collect one program's runs."""
+    n_runs, seed0, buggy = payload
+    return collect_correct_runs(get_bug("gzip"), n_runs, seed0=seed0,
+                                buggy=buggy)
+
+
+def _diagnose(kwargs):
+    """Picklable program-level unit: one gzip diagnosis."""
+    return diagnose_failure(get_bug("gzip"), config=_CONFIG, **kwargs)
+
+
 class TestCollectRuns:
+    """Run collection nested in a program-level pool task (the shape of
+    ``corpus --jobs N``) matches collecting in the coordinator."""
+
     def test_parallel_runs_identical(self):
         program = get_bug("gzip")
         serial = collect_correct_runs(program, 5, seed0=0, buggy=False)
-        parallel = collect_correct_runs(program, 5, seed0=0, jobs=2,
-                                        buggy=False)
+        parallel, _other = run_tasks(_collect, [(5, 0, False),
+                                                (2, 7, False)], jobs=2)
         assert [r.seed for r in serial] == [r.seed for r in parallel]
         for a, b in zip(serial, parallel):
             assert a.events == b.events
@@ -268,16 +285,15 @@ class TestCollectRuns:
         with pytest.raises(ReproError) as serial_err:
             collect_correct_runs(program, 3, seed0=12345, buggy=True)
         with pytest.raises(ReproError) as parallel_err:
-            collect_correct_runs(program, 3, seed0=12345, jobs=2,
-                                 buggy=True)
+            run_tasks(_collect, [(3, 12345, True), (2, 0, False)], jobs=2)
         assert str(serial_err.value) == str(parallel_err.value)
 
     def test_telemetry_totals_match(self):
-        program = get_bug("gzip")
+        items = [(4, 0, False), (3, 10, False)]
         with telemetry.use_registry(telemetry.Registry()) as ser_reg:
-            collect_correct_runs(program, 4, seed0=0, buggy=False)
+            run_tasks(_collect, items)
         with telemetry.use_registry(telemetry.Registry()) as par_reg:
-            collect_correct_runs(program, 4, seed0=0, jobs=2, buggy=False)
+            run_tasks(_collect, items, jobs=2)
         ser = ser_reg.snapshot()
         par = par_reg.snapshot()
         for key, value in ser["counters"].items():
@@ -289,19 +305,6 @@ class TestCollectRuns:
 
 
 class TestTrainingAndDiagnosis:
-    def test_per_thread_training_identical(self):
-        program = get_bug("gzip")
-        runs = collect_correct_runs(program, 4, seed0=0, buggy=False)
-        trainer = OfflineTrainer(config=_CONFIG)
-        serial = trainer.train(runs=runs, pool_threads=False)
-        parallel = trainer.train(runs=runs, pool_threads=False, jobs=2)
-        assert set(serial.weights) == set(parallel.weights)
-        for tid in serial.weights:
-            assert np.array_equal(serial.weights[tid],
-                                  parallel.weights[tid])
-        assert np.array_equal(serial.default_weights,
-                              parallel.default_weights)
-
     def test_topology_search_identical(self):
         program = get_bug("gzip")
         runs = collect_correct_runs(program, 5, seed0=0, buggy=False)
@@ -322,21 +325,13 @@ class TestTrainingAndDiagnosis:
                                   b.result.net.read_weights())
 
     def test_diagnosis_report_identical(self):
-        program = get_bug("gzip")
-        kwargs = dict(config=_CONFIG, n_train_runs=4, n_pruning_runs=6)
-        serial = diagnose_failure(program, **kwargs)
-        parallel = diagnose_failure(program, jobs=2, **kwargs)
-        assert serial == parallel
-
-
-def _encode_triple(x):
-    return ("wire", x)
-
-
-def _decode_triple(payload):
-    tag, x = payload
-    assert tag == "wire"
-    return x
+        # A diagnosis is the program-level unit: run inside a pool
+        # worker, it reports exactly what the serial call reports.
+        kwargs = dict(n_train_runs=4, n_pruning_runs=6)
+        serial = _diagnose(kwargs)
+        parallel = run_tasks(_diagnose,
+                             [kwargs, dict(kwargs, failure_seed=7)], jobs=2)
+        assert parallel[0] == serial
 
 
 class TestWarmPool:
@@ -373,23 +368,14 @@ class TestWarmPool:
         assert pool.max_workers >= 2
         assert run_tasks(_double, [3], jobs=2) == [6]
 
-    def test_codec_round_trips_results(self):
-        items = list(range(5))
-        expected = [2 * i for i in items]
-        assert run_tasks(_double, items, jobs=2,
-                         codec=(_encode_triple, _decode_triple)) == expected
-        # Serial path never encodes: results are the raw values.
-        assert run_tasks(_double, items,
-                         codec=(_encode_triple, _decode_triple)) == expected
-
     def test_two_consecutive_diagnoses_identical_to_serial(self):
-        # Warm-pool reuse determinism: the second --jobs diagnosis runs
+        # Warm-pool reuse determinism: the second batch of diagnoses runs
         # on the already-warm pool and must still match serial exactly.
-        program = get_bug("gzip")
-        kwargs = dict(config=_CONFIG, n_train_runs=3, n_pruning_runs=4)
-        serial = diagnose_failure(program, **kwargs)
-        first = diagnose_failure(program, jobs=2, **kwargs)
-        second = diagnose_failure(program, jobs=2, **kwargs)
+        kwargs = [dict(n_train_runs=3, n_pruning_runs=4),
+                  dict(n_train_runs=3, n_pruning_runs=4, failure_seed=7)]
+        serial = [_diagnose(k) for k in kwargs]
+        first = run_tasks(_diagnose, kwargs, jobs=2)
+        second = run_tasks(_diagnose, kwargs, jobs=2)
         assert first == serial
         assert second == serial
 

@@ -17,11 +17,14 @@ Pins the contracts :mod:`repro.core.policy` must keep:
    suspicion set is always admitted, even while backoff is shedding.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.analysis.accuracy import CorpusSpec, metrics_json, run_corpus
 from repro.common.errors import ConfigError
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
@@ -40,6 +43,7 @@ from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug
 
 _RUNS = dict(n_train_runs=3, n_pruning_runs=4)
+_CORPUS = CorpusSpec(seed=10, size=2, n_train_runs=3, n_pruning_runs=4)
 
 
 # ---------------------------------------------------------------------
@@ -145,10 +149,10 @@ class TestPolicyOffIdentity:
         assert plain == off
 
     def test_identity_holds_with_jobs(self):
-        program = get_bug("gzip")
-        plain = diagnose_failure(program, jobs=2, **_RUNS)
-        off = diagnose_failure(program, policy=NULL_POLICY, jobs=2, **_RUNS)
-        assert plain == off
+        # Programs are what fans out; each worker diagnoses serially.
+        plain = run_corpus(_CORPUS, jobs=2)
+        off = run_corpus(replace(_CORPUS, policy=NULL_POLICY), jobs=2)
+        assert plain.records == off.records
 
     @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
     def test_trace_files_byte_identical(self, fmt, tmp_path):
@@ -193,11 +197,11 @@ class TestActivePolicy:
         assert any("shed" in note for note in report.notes)
 
     def test_serial_equals_jobs(self):
-        program = get_bug("gzip")
-        policy = PolicySpec(seed=3, rate=0.5, backoff=True)
-        serial = diagnose_failure(program, policy=policy, **_RUNS)
-        parallel = diagnose_failure(program, policy=policy, jobs=4, **_RUNS)
-        assert serial == parallel
+        spec = replace(_CORPUS,
+                       policy=PolicySpec(seed=3, rate=0.5, backoff=True))
+        serial = run_corpus(spec)
+        parallel = run_corpus(spec, jobs=2)
+        assert metrics_json(serial) == metrics_json(parallel)
 
     def test_rerun_is_deterministic(self):
         program = get_bug("gzip")

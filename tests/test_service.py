@@ -152,8 +152,8 @@ class TestProtocol:
 
 class TestRequestPayloads:
     REQUESTS = [
-        ops.DiagnoseRequest(bug="gzip", seed=9, jobs=2),
-        ops.CorpusRequest(seed=3, size=2, out="m.json"),
+        ops.DiagnoseRequest(bug="gzip", seed=9),
+        ops.CorpusRequest(seed=3, size=2, out="m.json", jobs=2),
         ops.TraceRequest(program="lu", seed=4, out="t.jsonl"),
         ops.ProfileRequest(programs=("gzip",), tick_clock=True),
     ]
@@ -680,8 +680,8 @@ class TestDaemonRoundTrip:
         ]
         with _Daemon(jobs=2) as d:
             # Burst-submit before anything finishes: the queue must
-            # execute strictly FIFO, and --jobs 2 intra-job parallelism
-            # must not change a byte of any result.
+            # execute strictly FIFO, and --jobs 2 (the corpus job's
+            # program fan-out) must not change a byte of any result.
             ids = [client.submit(d.socket_path, r)["id"]
                    for r in requests]
             assert ids == ["j1", "j2", "j3"]
@@ -784,6 +784,30 @@ class TestDaemonRoundTrip:
             assert reply["result"]["rc"] == 2
             # The daemon is still alive and serving.
             assert client.ping(d.socket_path)["ok"]
+
+    def test_queued_diagnose_carrying_jobs_fails_only_that_job(
+            self, tmp_path):
+        # A diagnose request carries no worker count. A payload that was
+        # persisted with one fails on its own; the queue behind it runs.
+        state = str(tmp_path / "jobs.json")
+        store = JobStore(state)
+        stale = _req_payload()
+        stale["args"]["jobs"] = 2
+        bad = store.submit(stale)
+        good = store.submit(_req_payload())
+        with _Daemon(state_path=state) as d:
+            bad_reply = client.wait_for(d.socket_path, bad.id, timeout=120)
+            good_reply = client.wait_for(d.socket_path, good.id,
+                                         timeout=120)
+            # A fresh submission is refused before it reaches the queue.
+            with pytest.raises(ProtocolError):
+                client.submit(d.socket_path, stale)
+            assert client.ping(d.socket_path)["ok"]
+        assert bad_reply["job"]["state"] == JOB_FAILED
+        assert bad_reply["result"]["err"] == (
+            "error: unknown diagnose request fields: ['jobs']")
+        assert good_reply["job"]["state"] == JOB_DONE
+        assert good_reply["result"]["rc"] == 0
 
 
 class TestDaemonRobustness:
