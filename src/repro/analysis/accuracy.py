@@ -36,10 +36,12 @@ from typing import Optional, Tuple
 
 from repro import faults as _faults
 from repro import telemetry
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.common.texttable import render_table
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
+from repro.engines import create as create_engine
 from repro.faults import Checkpoint
 from repro.parallel import run_tasks
 from repro.workloads.generator import (
@@ -77,6 +79,13 @@ class CorpusSpec:
     # archetype trainable (the paper likewise picks per-program N).
     config: ACTConfig = field(
         default_factory=lambda: ACTConfig(seq_len=3))
+
+    def __post_init__(self):
+        if (self.engine != "nn" and self.policy is not None
+                and self.policy.enabled):
+            raise ConfigError(
+                f"adaptive policy is NN-path-only; engine "
+                f"{self.engine!r} does not support --policy")
 
     def fingerprint(self):
         """Checkpoint identity: the spec, JSON-safe."""
@@ -121,13 +130,18 @@ def _diagnose_item(payload):
     """
     program_spec, spec = payload
     program = GeneratedProgram(program_spec)
-    report = diagnose_failure(
-        program, config=spec.config,
-        n_train_runs=spec.n_train_runs,
-        n_pruning_runs=spec.n_pruning_runs,
-        failure_seed=spec.failure_seed,
-        engine=spec.engine if spec.engine != "nn" else None,
-        policy=spec.policy)
+    if spec.engine == "nn":
+        report = diagnose_failure(
+            program, config=spec.config,
+            n_train_runs=spec.n_train_runs,
+            n_pruning_runs=spec.n_pruning_runs,
+            failure_seed=spec.failure_seed, policy=spec.policy)
+    else:
+        engine = create_engine(spec.engine, config=spec.config)
+        report = engine.diagnose_report(
+            program, n_train_runs=spec.n_train_runs,
+            n_pruning_runs=spec.n_pruning_runs,
+            failure_seed=spec.failure_seed)
     root = report.root_cause or set()
     if report.candidates:
         # Engine-native reports rank candidates, not NN findings.

@@ -26,8 +26,6 @@ runs until the constraint ranking exposes the root cause.
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.core.offline import collect_runs_for_seeds
 from repro.engines.base import (
     EngineCapabilities,
@@ -133,14 +131,6 @@ class AvisoEngine(Predictor):
                 counts[pair] += 1
         self._counts = dict(counts)
         self._multithreaded = multithreaded
-
-    def predict_batch(self, seqs):
-        # Background rarity of the final dependence's pc pair: a pair
-        # never seen in correct windows is maximally suspicious.
-        return np.array([
-            1.0 / (1.0 + self._counts.get(
-                (seq[-1].store_pc, seq[-1].load_pc), 0))
-            for seq in seqs], dtype=float)
 
     def _state_payload(self):
         return {"counts": [[a, b, n] for (a, b), n

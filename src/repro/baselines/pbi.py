@@ -22,8 +22,6 @@ correct-run predicates, ``report_trained`` scores the failure run's.
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.offline import collect_runs_for_seeds
 from repro.engines.base import (
     EngineCapabilities,
@@ -104,14 +102,6 @@ class PBIEngine(Predictor):
         self._succ_true = dict(succ_true)
         self._succ_obs = dict(succ_obs)
         self._n_correct = len(runs)
-
-    def predict_batch(self, seqs):
-        # Rarity of the final load pc across correct runs: loads the
-        # correct executions never exercise score highest.
-        n = max(1, self._n_correct)
-        return np.array([
-            1.0 - self._succ_obs.get(seq[-1].load_pc, 0) / n
-            for seq in seqs], dtype=float)
 
     def _state_payload(self):
         return {

@@ -19,8 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-import numpy as np
-
 from repro.core.offline import collect_runs_for_seeds
 from repro.engines.base import (
     EngineCapabilities,
@@ -104,11 +102,6 @@ class PSetEngine(Predictor):
             **params)
         self._invariants = PSetInvariants.train(
             runs, filter_stack=self.config.filter_stack_loads)
-
-    def predict_batch(self, seqs):
-        return np.array([
-            0.0 if self._invariants.is_valid(seq[-1]) else 1.0
-            for seq in seqs], dtype=float)
 
     def _state_payload(self):
         return {"psets": [

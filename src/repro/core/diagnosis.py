@@ -8,6 +8,9 @@
    rank.
 4. Report where the ground-truth root-cause dependence landed.
 
+This module is the NN pipeline; the baseline engines of Table I run
+through :meth:`repro.engines.base.Predictor.diagnose_report` instead.
+
 Resilience hooks (all inert by default, zero-fault runs are
 bit-identical to a plain call):
 
@@ -28,7 +31,7 @@ from typing import Optional
 
 from repro import faults as _faults
 from repro import telemetry
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ReproError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
@@ -69,8 +72,8 @@ class DiagnosisReport:
     mode_switches: int = 0
     notes: list = field(default_factory=list)
     quarantine: Optional[dict] = None
-    #: name of the engine that produced this report; ``None`` for the
-    #: historical direct NN path (keeps pre-registry reports equal).
+    #: name of the engine that produced this report; ``None`` for a
+    #: report of the NN pipeline (:func:`diagnose_failure`).
     engine: Optional[str] = None
     #: False when the engine's candidate space cannot express this bug
     #: (e.g. Aviso on a single-threaded program).
@@ -194,10 +197,14 @@ def diagnose_failure(program, config=None, trained=None,
                      failure_params=None, correct_params=None,
                      pruning_params=None, root_cause=None,
                      faults=None, quarantine=None, checkpoint=None,
-                     trained_sink=None, engine=None, engine_state=None,
-                     engine_state_sink=None, policy=None, correct_set=None,
+                     trained_sink=None, policy=None, correct_set=None,
                      correct_set_sink=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
+
+    This is the NN pipeline and nothing else. A caller that takes an
+    engine name calls it for ``"nn"`` and
+    ``repro.engines.create(name).diagnose_report(...)`` for any other
+    engine.
 
     Args:
         program: a workload :class:`~repro.workloads.framework.Program`.
@@ -230,27 +237,17 @@ def diagnose_failure(program, config=None, trained=None,
             :class:`TrainedACT` once training state is in hand (freshly
             trained or reloaded). The serve daemon's warm-state cache
             hangs off this hook; it never changes the report.
-        engine: registered engine name (see :mod:`repro.engines`). The
-            call routes through the registry; ``"nn"`` delegates
-            straight back here, byte-identically. ``None`` (default)
-            keeps the historical direct path.
-        engine_state: a payload from ``Predictor.serialize`` to warm-
-            start the chosen engine (skips its training phase).
-        engine_state_sink: callable receiving the engine's serialized
-            state once training is in hand (the engine-generic analogue
-            of ``trained_sink``).
         policy: :class:`~repro.core.policy.PolicySpec` governing
             adaptive tracking during the failure-run deployment
             (defaults to the ambient policy; a disabled policy is a
-            no-op and preserves bit-identical output). NN path only:
-            an enabled policy with a non-``"nn"`` engine raises
-            :class:`ConfigError`. Training and pruning runs are never
-            sampled -- only the production deployment is.
+            no-op and preserves bit-identical output). Training and
+            pruning runs are never sampled -- only the production
+            deployment is.
         correct_set: reuse a :class:`CorrectSet` built by
             :func:`build_correct_set` for the same program, pruning
             seeds, ``pruning_params`` and config (skips the pruning
             runs). Ranking only reads it, so one set can serve many
-            diagnoses. Direct NN path only (``engine=None``).
+            diagnoses.
         correct_set_sink: optional callable invoked with the Correct
             Set once it is in hand, the pruning-phase analogue of
             ``trained_sink``; it never changes the report.
@@ -259,29 +256,6 @@ def diagnose_failure(program, config=None, trained=None,
         :class:`DiagnosisReport`.
     """
     active_policy = policy if policy is not None else _policy.get_policy()
-    if engine is not None and engine != "nn" and active_policy.enabled:
-        raise ConfigError(
-            f"adaptive policy is NN-path-only; engine {engine!r} does "
-            "not support --policy")
-    if engine is not None and (correct_set is not None
-                               or correct_set_sink is not None):
-        raise ConfigError("a prebuilt Correct Set needs the direct NN "
-                          "path (engine=None)")
-    if engine is not None:
-        from repro.engines.registry import create
-
-        # The "nn" engine delegates straight back to this function; the
-        # ambient context carries the policy across that hop.
-        with _policy.use_policy(active_policy):
-            return create(engine, config=config).diagnose_report(
-                program, trained=trained, n_train_runs=n_train_runs,
-                train_seed0=train_seed0, failure_seed=failure_seed,
-                n_pruning_runs=n_pruning_runs, pruning_seed0=pruning_seed0,
-                failure_params=failure_params, correct_params=correct_params,
-                pruning_params=pruning_params, root_cause=root_cause,
-                faults=faults, quarantine=quarantine,
-                checkpoint=checkpoint, trained_sink=trained_sink,
-                state=engine_state, state_sink=engine_state_sink)
     config = config or ACTConfig()
     failure_params = dict(failure_params or {"buggy": True})
     correct_params = dict(correct_params or {"buggy": False})

@@ -7,23 +7,23 @@ analysis scripts. A :class:`Predictor`:
 
 - ``train(program, ...)`` builds engine state from correct executions
   (the shared ``train_seed0 .. train_seed0 + n_runs - 1`` seed range);
-- ``predict_batch(seqs)`` scores dependence sequences with a
-  *suspicion* score in ``[0, 1]`` (higher = more likely invalid) --
-  deterministic in the trained state;
-- ``serialize()`` / ``deserialize()`` round-trip the trained state as
-  a JSON-safe payload (``deserialize(serialize(e))`` must produce
-  identical ``predict_batch`` outputs -- pinned by property tests);
-- ``capabilities`` is a declarative descriptor driving the Table-I
-  columns of ``repro shootout`` and the warm-cache policy;
-- ``diagnose_report(program, ...)`` runs the engine's native diagnosis
-  protocol end-to-end and maps the outcome onto a
+- ``serialize()`` / ``load_state(payload)`` round-trip the trained
+  state as a JSON-safe payload (``create(name).load_state(payload)``
+  must give an equal ``report_trained`` report -- pinned by
+  ``tests/test_engines.py``);
+- ``report_trained(program, ...)`` diagnoses a failure with the trained
+  state and maps the outcome onto a
   :class:`~repro.core.diagnosis.DiagnosisReport` whose ``candidates``
-  list carries the engine's ranked root-cause report.
+  list carries the engine's ranked root-cause report;
+- ``capabilities`` is a declarative descriptor driving the Table-I
+  columns of ``repro shootout`` and the warm-cache policy.
 
-The NN engine overrides ``diagnose_report`` with a pure delegation to
-:func:`~repro.core.diagnosis.diagnose_failure`, which keeps the
-registry-routed NN path byte-identical to the direct one (reports,
-telemetry spans, artifacts -- enforced by ``tests/test_engines.py``).
+:meth:`Predictor.diagnose_report` is the one diagnosis template every
+engine shares: train if cold, hand the state to the warm-cache sink,
+then ``report_trained``. The NN pipeline's own entry point is
+:func:`~repro.core.diagnosis.diagnose_failure`; callers that take an
+engine name call it for ``nn`` and ``create(name).diagnose_report``
+for every other engine.
 """
 
 from dataclasses import asdict, dataclass
@@ -114,9 +114,9 @@ class Predictor:
     """Base class every registered engine derives from.
 
     Subclasses set ``capabilities`` and implement :meth:`train`,
-    :meth:`predict_batch`, :meth:`_state_payload`, :meth:`load_state`
-    and :meth:`report_trained`. The template :meth:`diagnose_report`
-    then provides warm-state reuse, telemetry spans and the shared
+    :meth:`_state_payload`, :meth:`_load_state_payload` and
+    :meth:`report_trained`. The template :meth:`diagnose_report` then
+    provides warm-state reuse, telemetry spans and the shared
     train-if-cold flow for free.
     """
 
@@ -138,7 +138,7 @@ class Predictor:
         """
         return {"engine": self.name}
 
-    # -- protocol: train / predict_batch / serialize / deserialize -----
+    # -- protocol: train / serialize / load_state ----------------------
 
     @property
     def trained(self):
@@ -149,10 +149,6 @@ class Predictor:
         """Build engine state from ``n_runs`` correct executions."""
         raise NotImplementedError
 
-    def predict_batch(self, seqs):
-        """Suspicion scores (higher = more suspicious) per sequence."""
-        raise NotImplementedError
-
     def serialize(self):
         """JSON-safe payload of the trained state."""
         if not self.trained:
@@ -161,15 +157,6 @@ class Predictor:
                 engine=self.name)
         return {"engine": self.name, "config": asdict(self.config),
                 "state": self._state_payload()}
-
-    @classmethod
-    def deserialize(cls, payload, config=None):
-        """Rebuild an engine from :meth:`serialize` output."""
-        if config is None and payload.get("config"):
-            config = ACTConfig(**payload["config"])
-        engine = cls(config=config)
-        engine.load_state(payload)
-        return engine
 
     def load_state(self, payload):
         """Instance-level inverse of :meth:`serialize`."""
@@ -196,21 +183,19 @@ class Predictor:
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
 
-    def diagnose_report(self, program, trained=None,
-                        n_train_runs=10, train_seed0=0,
+    def diagnose_report(self, program, n_train_runs=10, train_seed0=0,
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
                         root_cause=None,
                         faults=None, quarantine=None, checkpoint=None,
-                        trained_sink=None, state=None, state_sink=None):
-        """Train if cold, then diagnose; the engine-routed entry point.
+                        state=None, state_sink=None):
+        """Train if cold, then diagnose; the one engine entry point.
 
-        ``state``/``state_sink`` mirror the NN path's
-        ``trained``/``trained_sink``: ``state`` is a payload from a
-        previous :meth:`serialize` (training is skipped), and
-        ``state_sink`` receives the serialized state once training is
-        in hand -- the serve daemon's warm cache hangs off both.
+        ``state`` is a payload from a previous :meth:`serialize`
+        (training is skipped), and ``state_sink`` receives the
+        serialized state once training is in hand -- the serve
+        daemon's warm cache hangs off both.
         """
         if checkpoint is not None:
             raise EngineError(

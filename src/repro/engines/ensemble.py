@@ -1,19 +1,16 @@
 """Composite engine: rank-merge several member engines.
 
-``ensemble`` (or ``ensemble:nn+pset`` for an explicit member list) runs
-each member's full diagnosis protocol, converts every member report to
-the uniform candidate list, and merges them with reciprocal-rank fusion
-(RRF, Cormack et al., SIGIR 2009): each candidate scores
-``sum(1 / (60 + rank_m))`` over the members that ranked it. RRF needs
-no score calibration across heterogeneous engines, which is exactly the
-situation here -- NN outputs, Increase statistics and invariant
-violation counts share no scale.
+``ensemble`` (or ``ensemble:nn+pset`` for an explicit member list)
+trains every member, runs each member's ``report_trained``, converts
+every member report to the uniform candidate list, and merges them
+with reciprocal-rank fusion (RRF, Cormack et al., SIGIR 2009): each
+candidate scores ``sum(1 / (60 + rank_m))`` over the members that
+ranked it. RRF needs no score calibration across heterogeneous
+engines, which is exactly the situation here -- NN outputs, Increase
+statistics and invariant violation counts share no scale.
 """
 
-import numpy as np
-
-from repro import faults as _faults
-from repro import telemetry
+from repro.common.errors import EngineError
 from repro.engines.base import (
     EngineCapabilities,
     Predictor,
@@ -81,37 +78,11 @@ class EnsembleEngine(Predictor):
             member.train(program, n_runs=n_runs, seed0=seed0,
                          quarantine=quarantine, **params)
 
-    def predict_batch(self, seqs):
-        seqs = list(seqs)
-        if not seqs:
-            return np.zeros(0, dtype=float)
-        scores = [np.asarray(m.predict_batch(seqs), dtype=float)
-                  for m in self.members]
-        return np.mean(scores, axis=0)
-
     def serialize(self):
         return {"engine": "ensemble",
                 "members": [m.serialize() for m in self.members]}
 
-    @classmethod
-    def deserialize(cls, payload, config=None):
-        from repro.core.config import ACTConfig
-        from repro.engines.registry import create as create_engine
-
-        members = []
-        for member_payload in payload.get("members", ()):
-            member_config = config
-            if member_config is None and member_payload.get("config"):
-                member_config = ACTConfig(**member_payload["config"])
-            members.append(create_engine(member_payload["engine"],
-                                         config=member_config))
-        engine = cls(members, config=config)
-        engine.load_state(payload)
-        return engine
-
     def load_state(self, payload):
-        from repro.common.errors import EngineError
-
         if payload.get("engine") != "ensemble":
             raise EngineError(
                 "ensemble cannot load state serialized by "
@@ -147,57 +118,3 @@ class EnsembleEngine(Predictor):
                     f"ensemble: member {member.name!r} rank "
                     f"{member_report.rank}")
         return report
-
-    def diagnose_report(self, program, trained=None,
-                        n_train_runs=10, train_seed0=0,
-                        failure_seed=12345, n_pruning_runs=20,
-                        pruning_seed0=100, failure_params=None,
-                        correct_params=None, pruning_params=None,
-                        root_cause=None,
-                        faults=None, quarantine=None, checkpoint=None,
-                        trained_sink=None, state=None, state_sink=None):
-        """Run every member's protocol, then RRF-merge the reports.
-
-        Members run their *native* ``diagnose_report`` (the NN member
-        keeps its direct-path flow) so each member behaves exactly as
-        it would standalone; only the final ranking is fused.
-        """
-        if checkpoint is not None:
-            from repro.common.errors import EngineError
-
-            raise EngineError(
-                "engine 'ensemble' does not support checkpoints "
-                "(only the default nn engine is checkpointable)",
-                engine="ensemble")
-        plan = faults if faults is not None else _faults.get_plan()
-        tele = telemetry.get_registry()
-        with _faults.use_plan(plan):
-            with tele.span("engine.diagnose", engine="ensemble",
-                           program=getattr(program, "name", "?")):
-                if state is not None:
-                    self.load_state(state)
-                reports = []
-                for member in self.members:
-                    member_state = None
-                    if member.trained:
-                        member_state = member.serialize()
-                    reports.append(member.diagnose_report(
-                        program, state=member_state,
-                        n_train_runs=n_train_runs, train_seed0=train_seed0,
-                        failure_seed=failure_seed,
-                        n_pruning_runs=n_pruning_runs,
-                        pruning_seed0=pruning_seed0,
-                        failure_params=failure_params,
-                        correct_params=correct_params,
-                        pruning_params=pruning_params,
-                        root_cause=root_cause, quarantine=quarantine,
-                        state_sink=(lambda s, _m=member:
-                                    _m.load_state(s))))
-                if state_sink is not None:
-                    state_sink(self.serialize())
-                report = self._merge(program, reports)
-                if tele.enabled:
-                    tele.inc("engine.diagnoses")
-                if quarantine is not None and len(quarantine):
-                    report.quarantine = quarantine.report_dict()
-                return report

@@ -24,9 +24,9 @@ def register(name, factory):
 
 
 def _ensure_loaded():
-    # Engine modules import repro.core (which imports nothing from this
-    # package at module scope only via the lazy routing hook), so they
-    # load lazily here rather than at package import.
+    # Engine modules import repro.engines.base, and with it this
+    # package, so they load lazily here: a module-scope import would be
+    # circular.
     global _LOADED
     if _LOADED:
         return

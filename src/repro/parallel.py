@@ -72,7 +72,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro import faults as _faults
 from repro import telemetry
 from repro.common.errors import ReproError, WorkerKilled
-from repro.telemetry.clock import clock_from_spec, clock_spec
+from repro.telemetry.clock import TickClock, clock_from_spec, clock_spec
 from repro.telemetry.events import FlightRecorder
 
 #: The gauge recording the worker count a ``--jobs`` value resolved to.
@@ -447,16 +447,22 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
         if tele.enabled:
             tele.inc("parallel.batches")
             tele.inc("parallel.tasks", len(items))
+            ends = []
             for snap in snaps:
                 if not snap:
                     continue
                 tele.merge_snapshot(snap)
                 if snap.get("spans"):
-                    tele.tracer.attach(snap["spans"])
+                    ends.extend(span.start + span.duration for span
+                                in tele.tracer.attach(snap["spans"]))
                 if snap.get("ops"):
                     tele.merge_ops(snap["ops"])
                 if tele.recorder is not None and snap.get("events"):
                     tele.recorder.extend(snap["events"])
+            if ends and isinstance(tele.clock, TickClock):
+                # Workers ticked from the dispatch tick; the spans open
+                # here must close after the work they dispatched.
+                tele.clock.advance_past(max(ends))
     if tele.enabled and tele.gauge(JOBS_GAUGE).value != n_jobs:
         # A task's own serial loop (a corpus program collecting its
         # runs) resolved jobs=None to 1, and the snapshot merge is

@@ -162,22 +162,23 @@ def run_diagnose(req, warm=None):
         program = get_bug(req.bug)
     except ReproError as e:
         return _fail(f"error: {e}")
+    config = ACTConfig(seq_len=req.seq_len,
+                      debug_buffer=req.debug_buffer,
+                      mispred_threshold=req.threshold)
     engine = req.engine or "nn"
+    engine_obj = None
     if engine != "nn":
         from repro.common.errors import EngineError
         from repro.engines import registry as engine_registry
 
         try:
-            engine_obj = engine_registry.create(engine)
+            engine_obj = engine_registry.create(engine, config=config)
         except EngineError as e:
             return _fail(f"error: {e}")
         if req.checkpoint or req.resume:
             return _fail(f"error: --engine {engine} does not support "
                          "checkpoints (only the default nn engine is "
                          "checkpointable)")
-    config = ACTConfig(seq_len=req.seq_len,
-                      debug_buffer=req.debug_buffer,
-                      mispred_threshold=req.threshold)
     checkpoint = req.checkpoint
     if req.resume:
         if not os.path.isfile(req.resume):
@@ -209,10 +210,10 @@ def run_diagnose(req, warm=None):
     trained_sink = None
     correct_set = None
     correct_set_sink = None
-    engine_state = None
-    engine_state_sink = None
+    state = None
+    state_sink = None
     if warm is not None and plan is None and checkpoint is None:
-        if engine == "nn":
+        if engine_obj is None:
             fingerprint = {"engine": "nn"}
         else:
             fingerprint = engine_obj.fingerprint()
@@ -221,7 +222,7 @@ def run_diagnose(req, warm=None):
                        train_seed0=DEFAULT_TRAIN_SEED0,
                        engine=fingerprint)
         entry = warm.get(key)
-        if engine == "nn":
+        if engine_obj is None:
             if entry is not None:
                 trained = TrainedACT.from_payload(entry.state, config)
                 correct_set = warm.correct_set(entry, req.pruning_runs)
@@ -239,11 +240,18 @@ def run_diagnose(req, warm=None):
                         _entry.correct_sets[req.pruning_runs] = cs
         else:
             if entry is not None:
-                engine_state = entry.state
+                state = entry.state
             else:
-                def engine_state_sink(state, _key=key):
-                    warm.put(_key, WarmEntry(state))
+                def state_sink(payload, _key=key):
+                    warm.put(_key, WarmEntry(payload))
 
+    if engine_obj is not None:
+        report = engine_obj.diagnose_report(
+            program, n_train_runs=req.train_runs,
+            n_pruning_runs=req.pruning_runs, failure_seed=req.seed,
+            faults=plan, quarantine=quarantine, state=state,
+            state_sink=state_sink)
+        return _engine_report_outcome(report, req, quarantine)
     try:
         report = diagnose_failure(program, config=config, trained=trained,
                                   n_train_runs=req.train_runs,
@@ -252,16 +260,10 @@ def run_diagnose(req, warm=None):
                                   faults=plan, quarantine=quarantine,
                                   checkpoint=checkpoint,
                                   trained_sink=trained_sink,
-                                  engine=(engine if engine != "nn"
-                                          else None),
-                                  engine_state=engine_state,
-                                  engine_state_sink=engine_state_sink,
                                   policy=policy, correct_set=correct_set,
                                   correct_set_sink=correct_set_sink)
     except CheckpointError as e:
         return _fail(f"error: {e}")
-    if report.engine is not None:
-        return _engine_report_outcome(report, req, quarantine)
     lines = [
         f"program          : {report.program}",
         f"failure          : {report.failure_description}",

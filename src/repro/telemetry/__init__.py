@@ -62,7 +62,7 @@ from repro.telemetry.registry import (
     NullRegistry,
     Registry,
 )
-from repro.telemetry.spans import Span, SpanContext, SpanTracer
+from repro.telemetry.spans import Span, SpanTracer
 
 __all__ = [
     "CATALOG", "MetricSpec", "format_catalog",
@@ -70,7 +70,7 @@ __all__ = [
     "FlightRecorder", "events_to_profile", "is_event_stream",
     "read_events", "read_events_profile",
     "Counter", "Gauge", "Histogram", "NullRegistry", "Registry",
-    "Span", "SpanContext", "SpanTracer",
+    "Span", "SpanTracer",
     "critical_path", "folded_stacks", "format_critical_path",
     "format_flame", "render_openmetrics",
     "format_profile", "profile_dict", "read_profile", "write_profile",

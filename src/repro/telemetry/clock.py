@@ -14,9 +14,14 @@ implementations:
   acceptance check both rely on it).
 
 Clocks cross the process-pool boundary as *specs* (plain tuples), not
-as objects: a worker reconstructs its own clock from the spec and
-starts it at zero, so a task's timestamps depend only on the work the
-task does -- never on which OS process ran it or what ran before.
+as objects: a worker reconstructs its own clock from the spec. A tick
+clock's spec carries the coordinator's tick at dispatch, so every
+worker clock of a batch starts there, and once the workers' spans are
+attached the coordinator skips past the latest one's end
+(:meth:`TickClock.advance_past`). Worker spans thus lie inside the
+dispatching span, and a task's timestamps depend only on the work done
+before dispatch and inside the task -- never on which OS process ran
+it.
 """
 
 import time
@@ -34,26 +39,31 @@ class TickClock:
 
     __slots__ = ("start", "step", "_n")
 
-    def __init__(self, start=0.0, step=0.001):
+    def __init__(self, start=0.0, step=0.001, tick=0):
         self.start = start
         self.step = step
-        self._n = 0
+        self._n = tick
 
     def __call__(self):
         now = self.start + self._n * self.step
         self._n += 1
         return now
 
+    def advance_past(self, t):
+        """Skip ahead so the next reading lies after time ``t``."""
+        self._n = max(self._n, round((t - self.start) / self.step) + 1)
+
 
 def clock_spec(clock):
     """Picklable description of ``clock`` for worker propagation."""
     if isinstance(clock, TickClock):
-        return ("tick", clock.step)
+        return ("tick", clock.step, clock.start, clock._n)
     return ("wall",)
 
 
 def clock_from_spec(spec):
-    """Rebuild a clock from :func:`clock_spec` (ticks restart at zero)."""
+    """Rebuild a clock from :func:`clock_spec` (a tick clock resumes at
+    the tick it was dispatched at)."""
     if spec and spec[0] == "tick":
-        return TickClock(step=spec[1])
+        return TickClock(start=spec[2], step=spec[1], tick=spec[3])
     return WALL

@@ -8,12 +8,13 @@ root wall time decomposes into the phases the paper's workflow names
 post-processing).
 
 v2 makes spans *structured*: every span carries a stable
-``(trace_id, span_id, parent_id)`` triple and a status, timestamps come
-from the owning registry's injectable clock (:mod:`.clock`), and a
-:class:`SpanContext` can cross the ``ProcessPoolExecutor`` boundary so
-pool workers record spans that stitch back under the coordinator's
-dispatching span -- a parallel diagnosis yields one coherent trace
-tree, not per-worker snapshots.
+``(trace_id, span_id, parent_id)`` triple and a status, and timestamps
+come from the owning registry's injectable clock (:mod:`.clock`). Pool
+workers record spans that :meth:`SpanTracer.attach` stitches back
+under the coordinator's dispatching span (:mod:`repro.parallel` ships
+the trace id, parent span id and clock spec to each worker), so a
+parallel run yields one coherent trace tree, not per-worker
+snapshots.
 
 Identifiers are deterministic, never random: a tracer numbers its
 spans ``s1, s2, ...`` in creation order, and a worker-side tracer
@@ -39,18 +40,6 @@ STATUS_ORPHANED = "orphaned"   # worker died while the span was open
 STATUS_UNCLOSED = "unclosed"   # open at flush time (flight recorder)
 
 
-@dataclass(frozen=True)
-class SpanContext:
-    """The propagatable identity of an open span.
-
-    This is what crosses a process boundary: the worker parents its
-    root spans under ``span_id`` and stamps them with ``trace_id``.
-    """
-
-    trace_id: str
-    span_id: str
-
-
 @dataclass
 class Span:
     """One timed phase; ``duration`` is filled when the span closes."""
@@ -64,9 +53,6 @@ class Span:
     duration: float = 0.0
     status: str = STATUS_OK
     children: list = field(default_factory=list)
-
-    def context(self):
-        return SpanContext(trace_id=self.trace_id, span_id=self.span_id)
 
     def to_dict(self):
         out = {"name": self.name, "id": self.span_id,
@@ -134,17 +120,6 @@ class SpanTracer:
         """
         self._batch_seq += 1
         return f"b{self._batch_seq}."
-
-    def adopt_context(self, context, scope):
-        """Continue ``context``'s trace: roots parent under its span.
-
-        Used by pool workers; ``scope`` prefixes every span id minted
-        here (derived from the task key, so IDs are deterministic no
-        matter which process runs the task).
-        """
-        self.trace_id = context.trace_id
-        self.remote_parent = context.span_id
-        self.scope = scope
 
     def _next_id(self):
         self._seq += 1

@@ -232,6 +232,28 @@ class TestTracingCLI:
         assert all([c["name"] for c in t["children"]] == ["diagnose"]
                    for t in programs)
 
+    def test_jobs_run_spans_lie_inside_their_parents(self, tmp_path,
+                                                     capsys):
+        # Worker tick clocks start at the dispatch tick, and the
+        # coordinator's clock skips past the adopted spans' ends.
+        from repro.telemetry import read_events_profile
+
+        out = tmp_path / "flight.jsonl"
+        assert main([*self.CORPUS, "--events", str(out),
+                     "--tick-clock"]) == 0
+
+        def outside(span):
+            end = span["start_s"] + span["duration_s"]
+            for child in span.get("children", ()):
+                if (child["start_s"] < span["start_s"] - 1e-9
+                        or child["start_s"] + child["duration_s"]
+                        > end + 1e-9):
+                    yield child["id"]
+                yield from outside(child)
+
+        (root,) = read_events_profile(out)["spans"]
+        assert list(outside(root)) == []
+
     def test_profile_load_renders_flight_recording(self, tmp_path, capsys):
         out = tmp_path / "flight.jsonl"
         assert main(["diagnose", "gzip", *self.ARGS,

@@ -210,16 +210,25 @@ class TestActivePolicy:
                 == diagnose_failure(program, policy=policy, **_RUNS))
 
     def test_non_nn_engine_rejects_enabled_policy(self):
-        with pytest.raises(ConfigError):
-            diagnose_failure(get_bug("gzip"), engine="pset",
-                             policy=PolicySpec(rate=0.5), **_RUNS)
+        with pytest.raises(ConfigError, match="NN-path-only"):
+            CorpusSpec(engine="pset", policy=PolicySpec(rate=0.5))
 
     def test_non_nn_engine_accepts_disabled_policy(self):
-        from repro.core.diagnosis import DiagnosisReport
+        spec = CorpusSpec(engine="pset", policy=NULL_POLICY)
+        assert spec.policy is NULL_POLICY
 
-        report = diagnose_failure(get_bug("gzip"), engine="pset",
-                                  policy=NULL_POLICY, **_RUNS)
-        assert isinstance(report, DiagnosisReport)
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "gzip"],
+        ["corpus", "--seed", "3", "--size", "2"],
+    ])
+    def test_cli_non_nn_engine_rejects_enabled_policy(self, argv, capsys):
+        from repro import cli
+
+        rc = cli.main([*argv, "--engine", "pset", "--policy", "rate=0.5"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "NN-path-only" in err
 
     def test_suspicion_feedback_loop(self):
         """PCs from a full-rate report restore coverage when sampling."""

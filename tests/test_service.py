@@ -559,15 +559,6 @@ class TestWarmCorrectSet:
         args = build_parser().parse_args(["serve", "--socket", "s"])
         assert args.warm_capacity == ops.WarmStateCache().capacity
 
-    def test_engine_path_rejects_a_prebuilt_set(self):
-        from repro.core.diagnosis import diagnose_failure
-        from repro.common.errors import ConfigError
-        from repro.workloads.registry import get_bug
-
-        with pytest.raises(ConfigError):
-            diagnose_failure(get_bug("gzip"), engine="pset",
-                             correct_set_sink=lambda cs: None)
-
 
 # ---------------------------------------------------------------------
 # pool close + jobs env satellites

@@ -44,11 +44,22 @@ class TestTickClock:
         assert [a() for _ in range(10)] == [b() for _ in range(10)]
 
     def test_spec_roundtrip(self):
-        spec = clock_spec(TickClock(step=0.25))
-        assert spec == ("tick", 0.25)
+        clock = TickClock(step=0.25)
+        clock()
+        spec = clock_spec(clock)
+        assert spec == ("tick", 0.25, 0.0, 1)
         rebuilt = clock_from_spec(spec)
         assert isinstance(rebuilt, TickClock)
-        assert rebuilt() == 0.0 and rebuilt() == 0.25
+        # A worker clock resumes at the tick it was dispatched at.
+        assert rebuilt() == 0.25 and rebuilt() == 0.5
+        assert clock() == 0.25
+
+    def test_advance_past(self):
+        clock = TickClock(step=0.5)
+        clock.advance_past(2.0)
+        assert clock() == 2.5
+        clock.advance_past(1.0)  # never moves backwards
+        assert clock() == 3.0
 
     def test_wall_spec(self):
         assert clock_spec(time.perf_counter) == ("wall",)
